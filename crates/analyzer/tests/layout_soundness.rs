@@ -71,6 +71,9 @@ impl Host for TapHost {
     fn mint(&mut self, to: Address, value: U256) {
         self.inner.mint(to, value);
     }
+    fn debit(&mut self, from: Address, value: U256) -> bool {
+        self.inner.debit(from, value)
+    }
     fn inc_nonce(&mut self, address: Address) -> u64 {
         self.inner.inc_nonce(address)
     }

@@ -140,46 +140,12 @@ impl Default for BenchWorld {
     }
 }
 
-/// A web3 handle whose node holds 8 confirmed rental agreements with 64
-/// queued rent payments (8 months × 8 agreements) — one `mine_block`
-/// call seals them all. Used by the `exec_fastpath` A/B series.
-pub fn loaded_rent_block() -> Web3 {
-    let world = BenchWorld::new();
-    let rentals: Vec<Rental> = (0..8)
-        .map(|_| {
-            let rental = Rental::at(world.deploy_base());
-            rental.confirm_agreement(world.tenant).expect("confirm");
-            rental
-        })
-        .collect();
-    for _month in 0..8 {
-        for rental in &rentals {
-            let tx = rental
-                .rent_payment_transaction(world.tenant)
-                .expect("rent tx");
-            world.web3.submit_transaction(tx).expect("submit");
-        }
-    }
-    world.web3
-}
-
 /// A node whose chain holds `blocks` mined blocks, each carrying
 /// `txs_per_block` log-emitting calls spread round-robin over four
 /// emitter contracts (every call fires one `LOG1` with the contract's
 /// own topic plus one `LOG0`). The `eth_getLogs` benchmark substrate:
 /// selective filters match only 1/4 of a large log population.
 pub fn log_heavy_node(blocks: usize, txs_per_block: usize) -> (LocalNode, Vec<Address>) {
-    log_heavy_node_with_accounts(4, blocks, txs_per_block)
-}
-
-/// [`log_heavy_node`] with a configurable dev-account count — the RPC
-/// load harness spreads thousands of simulated tenants round-robin over
-/// these senders, so it wants more than the default four.
-pub fn log_heavy_node_with_accounts(
-    accounts: usize,
-    blocks: usize,
-    txs_per_block: usize,
-) -> (LocalNode, Vec<Address>) {
     use lsc_chain::Transaction;
     use lsc_evm::asm::Asm;
     use lsc_evm::opcode::op;
@@ -210,7 +176,7 @@ pub fn log_heavy_node_with_accounts(
         init.assemble().expect("straight-line asm")
     };
 
-    let mut node = LocalNode::new(accounts);
+    let mut node = LocalNode::new(4);
     let sender = node.accounts()[0];
     let emitters: Vec<Address> = (0..4u64)
         .map(|i| {

@@ -25,9 +25,13 @@
 //! updates it in place (plus a sequence bump waking publication
 //! waiters) instead of cloning a whole snapshot per submit — the write
 //! path's former bottleneck. Chain state in the snapshot stays frozen;
-//! only the depth gauge moves. Snapshots detached by a wholesale
-//! rebuild (revert, import, recovery) keep their own final counter and
-//! may lag; fresh handles always see the live one.
+//! only the depth gauge moves.
+//!
+//! The snapshot is also where committed history *lives*: the node keeps
+//! no block or receipt list of its own. Sealing moves each block and its
+//! receipts into the publisher's working snapshot once (behind `Arc`s,
+//! so every published clone shares them), and the node's own readers go
+//! through that same copy.
 
 use crate::node::ChainConfig;
 use crate::state::Account;
@@ -152,7 +156,7 @@ impl LogIndex {
     /// Index one newly sealed block. A receipt missing from the map is
     /// skipped — the same (historically silent) semantics as the
     /// reference scan, now shared by construction.
-    fn append_block(&mut self, block: &Block, receipts: &FxHashMap<H256, Receipt>) {
+    fn append_block(&mut self, block: &Block, receipts: &FxHashMap<H256, Arc<Receipt>>) {
         debug_assert_eq!(self.per_block.len() as u64, block.number);
         let mut logs = Vec::new();
         for tx_hash in &block.tx_hashes {
@@ -362,24 +366,60 @@ impl CommittedSnapshot {
         self.accounts.remove(&address);
     }
 
-    /// Append the blocks (and their receipts + index entries) the node
-    /// has sealed since the last sync. The chain is append-only between
-    /// rebuilds, so this is O(new blocks).
-    pub(crate) fn sync_history(&mut self, blocks: &[Block], receipts: &FxHashMap<H256, Receipt>) {
-        debug_assert!(
-            self.blocks.len() <= blocks.len(),
-            "history shrank without a rebuild"
-        );
-        for block in &blocks[self.blocks.len()..] {
-            for tx_hash in &block.tx_hashes {
-                if let Some(receipt) = receipts.get(tx_hash) {
-                    self.receipts.insert(*tx_hash, Arc::new(receipt.clone()));
-                }
-            }
-            self.log_index.append_block(block, receipts);
-            self.blocks_by_hash.insert(block.hash, block.number);
-            self.blocks.push(Arc::new(block.clone()));
+    /// Replace the account set wholesale (publisher side, after a
+    /// revert, import or recovery changed state outside the dirty marks).
+    pub(crate) fn replace_accounts<'a>(
+        &mut self,
+        accounts: impl Iterator<Item = (&'a Address, &'a Account)>,
+    ) {
+        self.accounts = accounts
+            .map(|(address, account)| (*address, Arc::new(account.clone())))
+            .collect();
+    }
+
+    /// Move one newly sealed block and its receipts (in block order)
+    /// into the history and index them. O(block).
+    pub(crate) fn append_block(&mut self, block: Block, receipts: Vec<Receipt>) {
+        for receipt in receipts {
+            self.receipts.insert(receipt.tx_hash, Arc::new(receipt));
         }
+        self.index_block(Arc::new(block));
+        self.refresh_recent_hashes();
+    }
+
+    /// Keep the first `len` blocks; drop the rest together with their
+    /// receipts, then rebuild the derived indexes from the kept prefix.
+    pub(crate) fn truncate_history(&mut self, len: usize) {
+        if len >= self.blocks.len() {
+            return;
+        }
+        for block in self.blocks.drain(len..) {
+            for tx_hash in &block.tx_hashes {
+                self.receipts.remove(tx_hash);
+            }
+        }
+        self.reindex();
+    }
+
+    /// Replace the whole history (full-image import).
+    pub(crate) fn install_history(&mut self, blocks: Vec<Block>, receipts: Vec<Receipt>) {
+        self.blocks = blocks.into_iter().map(Arc::new).collect();
+        self.receipts = receipts
+            .into_iter()
+            .map(|receipt| (receipt.tx_hash, Arc::new(receipt)))
+            .collect();
+        self.reindex();
+    }
+
+    /// Append `block` with its hash lookup and log-index entries (its
+    /// receipts are already in the map).
+    fn index_block(&mut self, block: Arc<Block>) {
+        self.log_index.append_block(&block, &self.receipts);
+        self.blocks_by_hash.insert(block.hash, block.number);
+        self.blocks.push(block);
+    }
+
+    fn refresh_recent_hashes(&mut self) {
         self.recent_hashes = self
             .blocks
             .iter()
@@ -387,6 +427,31 @@ impl CommittedSnapshot {
             .take(256)
             .map(|b| (b.number, b.hash))
             .collect();
+    }
+
+    /// Rebuild every derived index from `blocks` + `receipts`.
+    fn reindex(&mut self) {
+        self.blocks_by_hash.clear();
+        self.log_index = LogIndex::default();
+        for block in std::mem::take(&mut self.blocks) {
+            self.index_block(block);
+        }
+        self.refresh_recent_hashes();
+    }
+
+    /// Every block, genesis first (snapshot-image export).
+    pub(crate) fn blocks(&self) -> &[Arc<Block>] {
+        &self.blocks
+    }
+
+    /// Every receipt by transaction hash (snapshot-image export).
+    pub(crate) fn receipts(&self) -> &FxHashMap<H256, Arc<Receipt>> {
+        &self.receipts
+    }
+
+    /// Hashes of the most recent 256 blocks, newest first (BLOCKHASH).
+    pub(crate) fn recent_hashes(&self) -> &[(u64, H256)] {
+        &self.recent_hashes
     }
 
     pub(crate) fn set_clock(&mut self, timestamp: u64) {
@@ -564,12 +629,6 @@ impl CommittedSnapshot {
             self.config.block_gas_limit,
             tx,
         ))
-    }
-}
-
-impl crate::parallel::BaseView for CommittedSnapshot {
-    fn base_account(&self, address: Address) -> Option<&Account> {
-        self.accounts.get(&address).map(Arc::as_ref)
     }
 }
 
@@ -901,7 +960,7 @@ mod tests {
         let t1 = H256::keccak(b"T1()");
         let t2 = H256::keccak(b"T2()");
         let mut index = LogIndex::default();
-        let mut receipts: FxHashMap<H256, Receipt> = FxHashMap::default();
+        let mut receipts: FxHashMap<H256, Arc<Receipt>> = FxHashMap::default();
         // Block 0: genesis, no txs.
         let genesis = Block {
             number: 0,
@@ -922,7 +981,7 @@ mod tests {
             ];
             receipts.insert(
                 tx_hash,
-                Receipt {
+                Arc::new(Receipt {
                     tx_hash,
                     block_number: n,
                     tx_index: 0,
@@ -932,7 +991,7 @@ mod tests {
                     contract_address: None,
                     logs,
                     output: vec![],
-                },
+                }),
             );
             let block = Block {
                 number: n,

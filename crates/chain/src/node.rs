@@ -15,8 +15,8 @@ use crate::trie::TrieError;
 use crate::tx::{Block, Receipt, Transaction, TxError};
 use crate::wal::{self, Faults, Wal, WalError, WalRecord};
 use lsc_abi::json::{parse, JsonValue};
-use lsc_evm::{gas, AccessKey, AnalyzedCode, BlockEnv, CallResult, Evm, Host, Log, Message};
-use lsc_primitives::{Address, FxHashMap, FxHashSet, H256, U256};
+use lsc_evm::{AccessKey, AnalyzedCode, BlockEnv, CallResult, Host, Log};
+use lsc_primitives::{Address, FxHashSet, H256, U256};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -184,12 +184,20 @@ impl Default for ChainConfig {
     }
 }
 
+impl ChainConfig {
+    /// Worker threads batch mining speculates on: `mining_workers`, or
+    /// the machine's available parallelism.
+    pub(crate) fn workers(&self) -> usize {
+        self.mining_workers.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+        })
+    }
+}
+
 /// A Ganache-style instant-mining local node.
 pub struct LocalNode {
     config: ChainConfig,
     state: WorldState,
-    blocks: Vec<Block>,
-    receipts: FxHashMap<H256, Receipt>,
     timestamp: u64,
     dev_accounts: Vec<Address>,
     snapshots: Vec<NodeSnapshot>,
@@ -215,9 +223,10 @@ pub struct LocalNode {
     /// Latest published MVCC snapshot; swapped whole on every committed
     /// mutation, read lock-free through [`ReadHandle`]s.
     published: PublishedSlot,
-    /// The publisher's working copy, updated incrementally (dirty
-    /// accounts + new blocks) and cloned into `published` on each
-    /// publication.
+    /// The publisher's working copy and the one home of committed
+    /// history: sealed blocks and receipts are moved into it, every
+    /// node-side reader goes through it, and it is cloned (pointer
+    /// copies) into `published` on each publication.
     shadow: CommittedSnapshot,
     /// The authenticated state trie mirroring the committed world state;
     /// synced lazily from the state's dirt marks (see
@@ -251,7 +260,6 @@ pub(crate) struct BlockHint {
     pub(crate) take: Option<usize>,
     pub(crate) epoch: u64,
     pub(crate) env: BlockEnv,
-    pub(crate) recent_hashes: Vec<(u64, H256)>,
 }
 
 impl WorldState {
@@ -299,14 +307,13 @@ impl LocalNode {
             tx_hashes: vec![],
             gas_used: 0,
         };
-        let shadow = CommittedSnapshot::new(config.clone(), dev_accounts.clone());
+        let mut shadow = CommittedSnapshot::new(config.clone(), dev_accounts.clone());
+        shadow.append_block(genesis, Vec::new());
         let mut node = LocalNode {
             timestamp: config.genesis_timestamp,
             pool: Mempool::new(config.max_pending),
             config,
             state,
-            blocks: vec![genesis],
-            receipts: FxHashMap::default(),
             dev_accounts,
             snapshots: Vec::new(),
             state_epoch: 0,
@@ -344,10 +351,10 @@ impl LocalNode {
     }
 
     /// Publish the node's committed state: re-share every dirty account
-    /// into the shadow snapshot, append newly sealed blocks, then swap
-    /// the published `Arc`. O(changed accounts + new blocks); suppressed
-    /// during WAL replay ([`LocalNode::recover`] rebuilds once at the
-    /// end instead of once per replayed record).
+    /// into the shadow snapshot (sealing already moved new blocks in),
+    /// then swap the published `Arc`. Suppressed during WAL replay
+    /// ([`LocalNode::recover`] republishes once at the end instead of
+    /// once per replayed record).
     fn publish(&mut self) {
         if self.replaying {
             return;
@@ -358,7 +365,6 @@ impl LocalNode {
                 None => self.shadow.remove_account(address),
             }
         }
-        self.shadow.sync_history(&self.blocks, &self.receipts);
         self.shadow.set_clock(self.timestamp);
         self.shadow.set_pending(self.pool.len());
         self.published.store(Arc::new(self.shadow.clone()));
@@ -378,21 +384,15 @@ impl LocalNode {
         self.published.notify_publication();
     }
 
-    /// Rebuild the shadow snapshot from scratch and publish it. Used
-    /// when history is replaced wholesale (snapshot revert, full-image
-    /// import, end of WAL recovery) — the incremental sync assumes an
-    /// append-only chain.
+    /// Re-share the whole account set and publish. Used when state was
+    /// replaced outside the dirty marks (snapshot revert, full-image
+    /// import, end of WAL recovery); history is already in the shadow.
     pub(crate) fn rebuild_published(&mut self) {
-        let mut snapshot = CommittedSnapshot::new(self.config.clone(), self.dev_accounts.clone());
-        for (address, account) in self.state.iter_accounts() {
-            snapshot.upsert_account(*address, account.clone());
-        }
-        snapshot.sync_history(&self.blocks, &self.receipts);
-        snapshot.set_clock(self.timestamp);
-        snapshot.set_pending(self.pool.len());
+        self.shadow.replace_accounts(self.state.iter_accounts());
         let _ = self.state.take_dirty();
         self.state_epoch += 1;
-        self.shadow = snapshot;
+        self.shadow.set_clock(self.timestamp);
+        self.shadow.set_pending(self.pool.len());
         self.published.store(Arc::new(self.shadow.clone()));
     }
 
@@ -408,7 +408,7 @@ impl LocalNode {
 
     /// Current block height.
     pub fn block_number(&self) -> u64 {
-        self.blocks.last().expect("genesis always present").number
+        self.shadow.block_number()
     }
 
     /// Current chain time.
@@ -418,12 +418,13 @@ impl LocalNode {
 
     /// Fetch a block by number.
     pub fn block(&self, number: u64) -> Option<&Block> {
-        self.blocks.get(usize::try_from(number).ok()?)
+        let index = usize::try_from(number).ok()?;
+        self.shadow.blocks().get(index).map(Arc::as_ref)
     }
 
     /// Fetch a receipt by transaction hash.
     pub fn receipt(&self, tx_hash: H256) -> Option<&Receipt> {
-        self.receipts.get(&tx_hash)
+        self.shadow.receipts().get(&tx_hash).map(Arc::as_ref)
     }
 
     /// `eth_getLogs`: logs in the inclusive block range, optionally
@@ -444,6 +445,8 @@ impl LocalNode {
 
     /// `eth_getLogs` with the full positional wire-format filter
     /// (address OR-list, per-position topic OR-lists, null wildcards).
+    /// A plain walk over blocks and receipts — the oracle the snapshot's
+    /// inverted index is checked against.
     pub fn logs_filtered(
         &self,
         from_block: u64,
@@ -451,12 +454,12 @@ impl LocalNode {
         filter: &LogFilter,
     ) -> Vec<(u64, lsc_evm::Log)> {
         let mut out = Vec::new();
-        for block in &self.blocks {
+        for block in self.shadow.blocks() {
             if block.number < from_block || block.number > to_block {
                 continue;
             }
             for tx_hash in &block.tx_hashes {
-                let Some(receipt) = self.receipts.get(tx_hash) else {
+                let Some(receipt) = self.shadow.receipts().get(tx_hash) else {
                     continue;
                 };
                 for log in &receipt.logs {
@@ -644,7 +647,7 @@ impl LocalNode {
     pub fn snapshot(&mut self) -> usize {
         self.snapshots.push(NodeSnapshot {
             state: self.state.deep_clone(),
-            blocks_len: self.blocks.len(),
+            blocks_len: self.shadow.blocks().len(),
             timestamp: self.timestamp,
             pending: self.pool.dump(),
         });
@@ -658,11 +661,7 @@ impl LocalNode {
         }
         let snapshot = self.snapshots.swap_remove(id);
         self.snapshots.truncate(id);
-        for block in self.blocks.drain(snapshot.blocks_len..) {
-            for tx in block.tx_hashes {
-                self.receipts.remove(&tx);
-            }
-        }
+        self.shadow.truncate_history(snapshot.blocks_len);
         self.state = snapshot.state;
         self.timestamp = snapshot.timestamp;
         self.install_pending(snapshot.pending);
@@ -672,8 +671,6 @@ impl LocalNode {
         self.state_trie = StateTrie::rebuild_from(&mut self.state_store, &self.state)
             .expect("state trie rebuild over restored state");
         let _ = self.state.take_trie_dirty();
-        // History shrank: the incremental sync can't express that, so
-        // republish from scratch.
         self.rebuild_published();
         true
     }
@@ -731,24 +728,14 @@ impl LocalNode {
             .map_err(TxError::UpgradeRejected)
     }
 
-    /// Hashes of the most recent 256 blocks, newest first (BLOCKHASH).
-    fn recent_hashes(&self) -> Vec<(u64, H256)> {
-        self.blocks
-            .iter()
-            .rev()
-            .take(256)
-            .map(|b| (b.number, b.hash))
-            .collect()
-    }
-
-    /// Validate, execute and mine a transaction; returns its receipt.
-    /// Validate and execute one transaction against the given block env;
-    /// returns the receipt fields (block sealing is the caller's job).
+    /// Validate and execute one transaction against the given block env
+    /// on the journaled state — the sequential executor. Returns the
+    /// receipt with its block fields unset (sealing is the caller's job).
     fn execute_transaction(
         &mut self,
         tx: &Transaction,
         env: &BlockEnv,
-    ) -> Result<(H256, Receipt), TxError> {
+    ) -> Result<Receipt, TxError> {
         // The deploy guard depends only on the payload bytes, so it runs
         // first: both mining engines can then agree on the verdict
         // without ordering it against state-dependent checks. The upgrade
@@ -756,96 +743,35 @@ impl LocalNode {
         // transaction's position in the committed order.
         self.check_deploy_guard(tx)?;
         self.check_upgrade_guard(tx)?;
-        let expected_nonce = self.state.nonce(tx.from);
-        let nonce = tx.nonce.unwrap_or(expected_nonce);
-        if nonce != expected_nonce {
-            return Err(TxError::NonceMismatch {
-                expected: expected_nonce,
-                got: nonce,
-            });
-        }
-        let intrinsic = gas::tx_intrinsic_gas(tx.to.is_none(), &tx.data);
-        if tx.gas < intrinsic {
-            return Err(TxError::IntrinsicGasTooLow {
-                required: intrinsic,
-            });
-        }
-        if tx.gas > self.config.block_gas_limit {
-            return Err(TxError::ExceedsBlockGasLimit);
-        }
-        let upfront = U256::from(tx.gas) * tx.gas_price;
-        let total = upfront
-            .checked_add(tx.value)
-            .ok_or(TxError::InsufficientFunds)?;
-        if self.state.balance(tx.from) < total {
-            return Err(TxError::InsufficientFunds);
-        }
-
-        // Buy gas.
-        let debited = self.state.debit(tx.from, upfront);
-        debug_assert!(debited, "balance checked above");
-
-        let recent_hashes = self.recent_hashes();
-
-        let exec_gas = tx.gas - intrinsic;
-        let message = match tx.to {
-            Some(to) => {
-                // Calls bump the sender nonce here; creations bump it inside
-                // the EVM (the CREATE address derivation consumes it).
-                self.state.set_nonce(tx.from, expected_nonce + 1);
-                Message::call(tx.from, to, tx.value, tx.data.clone(), exec_gas)
-            }
-            None => Message::create(tx.from, tx.value, tx.data.clone(), exec_gas),
+        let mut host = StateHost {
+            state: &mut self.state,
+            env,
+            gas_price: tx.gas_price,
+            logs: Vec::new(),
+            snapshots: Vec::new(),
+            recent_hashes: self.shadow.recent_hashes(),
         };
-
-        let (result, logs): (CallResult, Vec<Log>) = {
-            let mut host = StateHost {
-                state: &mut self.state,
-                env,
-                gas_price: tx.gas_price,
-                logs: Vec::new(),
-                snapshots: Vec::new(),
-                recent_hashes: &recent_hashes,
-            };
-            let result = Evm::new(&mut host).execute(message);
-            let logs = host.logs;
-            (result, logs)
-        };
-
-        // Settle gas: refund capped at half of what was used.
-        let exec_used = exec_gas - result.gas_left;
-        let refund = result.gas_refund.min(exec_used / 2);
-        let gas_used = intrinsic + exec_used - refund;
-        let reimburse = U256::from(tx.gas - gas_used) * tx.gas_price;
-        self.state.credit(tx.from, reimburse);
-        self.state
-            .credit(self.config.coinbase, U256::from(gas_used) * tx.gas_price);
+        let (mut receipt, fee) = tx.execute(&mut host, self.config.block_gas_limit)?;
+        receipt.logs = host.logs;
+        self.state.credit(self.config.coinbase, fee);
         self.state.commit();
-
-        let tx_hash = tx.hash(nonce);
-        let receipt = Receipt {
-            tx_hash,
-            block_number: 0, // sealed by the caller
-            tx_index: 0,
-            status: u64::from(result.success),
-            gas_used,
-            effective_gas_price: tx.gas_price,
-            contract_address: result.created,
-            logs,
-            output: result.output,
-        };
-        Ok((tx_hash, receipt))
+        Ok(receipt)
     }
 
-    /// Seal a block containing the given executed transactions. Receipts
-    /// are moved into the node's map (not cloned), and the block is built
-    /// once and cloned only for the return value.
-    fn seal_block(&mut self, receipts: Vec<(H256, Receipt)>) -> Block {
-        let parent = self.blocks.last().expect("genesis").hash;
+    /// Seal a block containing the given executed transactions. Block
+    /// and receipts are moved into the history (not cloned); the block is
+    /// cloned only for the return value.
+    fn seal_block(&mut self, mut receipts: Vec<Receipt>) -> Block {
+        let parent = self
+            .shadow
+            .blocks()
+            .last()
+            .expect("genesis always present")
+            .hash;
         self.timestamp += self.config.block_time;
         let number = self.block_number() + 1;
-        let tx_hashes: Vec<H256> = receipts.iter().map(|(h, _)| *h).collect();
-        let gas_used = receipts.iter().map(|(_, r)| r.gas_used).sum();
+        let tx_hashes: Vec<H256> = receipts.iter().map(|r| r.tx_hash).collect();
+        let gas_used = receipts.iter().map(|r| r.gas_used).sum();
         // Fold this block's state changes (and anything pending since
         // the last seal) into the authenticated trie; the resulting root
         // goes into the hashed header, so the header attests to the
@@ -860,14 +786,13 @@ impl LocalNode {
             tx_hashes,
             gas_used,
         };
-        for (index, (tx_hash, mut receipt)) in receipts.into_iter().enumerate() {
+        for (index, receipt) in receipts.iter_mut().enumerate() {
             receipt.block_number = number;
             receipt.tx_index = index;
-            self.receipts.insert(tx_hash, receipt);
         }
-        self.blocks.push(block.clone());
+        self.shadow.append_block(block.clone(), receipts);
         self.state_epoch += 1;
-        // All three mining modes funnel through here: every sealed block
+        // All four mining modes funnel through here: every sealed block
         // is published before its entry point returns.
         self.publish();
         self.maybe_auto_compact();
@@ -893,12 +818,12 @@ impl LocalNode {
         }
         self.log_record(|| WalRecord::InstantTx(tx.clone()))?;
         let env = self.block_env();
-        let (tx_hash, receipt) = self.execute_transaction(&tx, &env)?;
-        self.seal_block(vec![(tx_hash, receipt)]);
+        let receipt = self.execute_transaction(&tx, &env)?;
+        let tx_hash = receipt.tx_hash;
+        self.seal_block(vec![receipt]);
         // Re-read to pick up the sealed block number / index.
         Ok(self
-            .receipts
-            .get(&tx_hash)
+            .receipt(tx_hash)
             .cloned()
             .expect("seal_block stored the receipt"))
     }
@@ -1052,24 +977,21 @@ impl LocalNode {
 
     fn mine_block_inner(&mut self, take: Option<usize>) -> (Block, Vec<TxError>) {
         let pending = self.drain_ready(take);
-        let workers = self.config.mining_workers.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        });
+        let workers = self.config.workers();
         if pending.len() < 2 || workers < 2 {
             return self.mine_batch_sequential(pending);
         }
 
         let env = self.block_env();
-        let recent_hashes = self.recent_hashes();
         let outcomes = parallel::speculate_batch(
             &self.state,
             &env,
             self.config.block_gas_limit,
-            &recent_hashes,
+            self.shadow.recent_hashes(),
             &pending,
             workers,
         );
-        self.commit_speculated(&pending, outcomes, &env, &recent_hashes)
+        self.commit_speculated(&pending, outcomes, &env)
     }
 
     /// The ordered, conflict-checked commit pass shared by in-lock batch
@@ -1085,7 +1007,6 @@ impl LocalNode {
         pending: &[Transaction],
         outcomes: Vec<parallel::SpecOutcome>,
         env: &BlockEnv,
-        recent_hashes: &[(u64, H256)],
     ) -> (Block, Vec<TxError>) {
         let coinbase = self.config.coinbase;
         let block_gas_limit = self.config.block_gas_limit;
@@ -1106,7 +1027,13 @@ impl LocalNode {
             let outcome = if stale {
                 // Re-execute against the committed state: at this point it
                 // is exactly what sequential mining would see.
-                parallel::speculate(&self.state, env, block_gas_limit, recent_hashes, tx)
+                parallel::speculate(
+                    &self.state,
+                    env,
+                    block_gas_limit,
+                    self.shadow.recent_hashes(),
+                    tx,
+                )
             } else {
                 speculated
             };
@@ -1171,19 +1098,13 @@ impl LocalNode {
         if peeked.is_empty() {
             return None;
         }
-        let mut hashes = Vec::with_capacity(peeked.len());
-        let mut txs = Vec::with_capacity(peeked.len());
-        for (hash, tx) in peeked {
-            hashes.push(hash);
-            txs.push(tx);
-        }
+        let (hashes, txs) = peeked.into_iter().unzip();
         Some(BlockHint {
             txs,
             hashes,
             take,
             epoch: self.state_epoch,
             env: self.block_env(),
-            recent_hashes: self.recent_hashes(),
         })
     }
 
@@ -1221,7 +1142,7 @@ impl LocalNode {
         })?;
         let drained = self.drain_ready(Some(hint.txs.len()));
         debug_assert_eq!(drained.len(), hint.txs.len(), "validated prefix drains");
-        Ok(self.commit_speculated(&drained, outcomes, &hint.env, &hint.recent_hashes))
+        Ok(self.commit_speculated(&drained, outcomes, &hint.env))
     }
 
     /// Mine one block through the two-stage pipelined path
@@ -1235,14 +1156,12 @@ impl LocalNode {
             return self.try_mine_block();
         };
         let snapshot = self.published_snapshot();
-        let workers = self.config.mining_workers.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        });
+        let workers = self.config.workers();
         let outcomes = parallel::speculate_batch(
             snapshot.as_ref(),
             &hint.env,
             self.config.block_gas_limit,
-            &hint.recent_hashes,
+            snapshot.recent_hashes(),
             &hint.txs,
             workers,
         );
@@ -1253,59 +1172,45 @@ impl LocalNode {
     /// instruction trace. Runs over an overlay host — the shared state
     /// (journal, analysis caches) is never touched.
     pub fn debug_trace_call(
-        &mut self,
-        from: Address,
-        to: Address,
-        data: Vec<u8>,
-    ) -> (CallResult, Vec<lsc_evm::TraceStep>) {
-        self.debug_trace_call_readonly(from, to, data)
-    }
-
-    /// [`LocalNode::debug_trace_call`] through `&self` — the actual
-    /// implementation; the `&mut` entry point is a compatibility shim.
-    pub fn debug_trace_call_readonly(
         &self,
         from: Address,
         to: Address,
         data: Vec<u8>,
     ) -> (CallResult, Vec<lsc_evm::TraceStep>) {
         let env = self.block_env();
-        let recent_hashes = self.recent_hashes();
-        mvcc::run_trace_call(&self.state, &env, &recent_hashes, from, to, data)
+        mvcc::run_trace_call(
+            &self.state,
+            &env,
+            self.shadow.recent_hashes(),
+            from,
+            to,
+            data,
+        )
     }
 
     /// Execute a read-only call (`eth_call`): writes land in a private
     /// overlay and are discarded — the shared journaled state is never
     /// mutated (no checkpoint, no rollback, no cache churn).
-    pub fn call(&mut self, from: Address, to: Address, data: Vec<u8>) -> CallResult {
-        self.call_readonly(from, to, data)
-    }
-
-    /// [`LocalNode::call`] through `&self` — the actual implementation;
-    /// the `&mut` entry point is a compatibility shim. Bit-identical to
-    /// the historical mutate-and-rollback path (the overlay host mirrors
-    /// the journaled host's semantics op for op).
-    pub fn call_readonly(&self, from: Address, to: Address, data: Vec<u8>) -> CallResult {
+    pub fn call(&self, from: Address, to: Address, data: Vec<u8>) -> CallResult {
         let env = self.block_env();
-        let recent_hashes = self.recent_hashes();
-        mvcc::run_call(&self.state, &env, &recent_hashes, from, to, data)
+        mvcc::run_call(
+            &self.state,
+            &env,
+            self.shadow.recent_hashes(),
+            from,
+            to,
+            data,
+        )
     }
 
     /// Estimate the gas a transaction would use (`eth_estimateGas`):
     /// executes against a private overlay and reports actual usage.
-    pub fn estimate_gas(&mut self, tx: &Transaction) -> Result<u64, TxError> {
-        self.estimate_gas_readonly(tx)
-    }
-
-    /// [`LocalNode::estimate_gas`] through `&self` — the actual
-    /// implementation; the `&mut` entry point is a compatibility shim.
-    pub fn estimate_gas_readonly(&self, tx: &Transaction) -> Result<u64, TxError> {
+    pub fn estimate_gas(&self, tx: &Transaction) -> Result<u64, TxError> {
         let env = self.block_env();
-        let recent_hashes = self.recent_hashes();
         Ok(mvcc::run_estimate(
             &self.state,
             &env,
-            &recent_hashes,
+            self.shadow.recent_hashes(),
             self.config.block_gas_limit,
             tx,
         ))
@@ -1498,8 +1403,8 @@ impl LocalNode {
             node.apply_record(record);
         }
         node.replaying = false;
-        // Publication was suppressed during replay; publish the fully
-        // recovered chain once.
+        // Publication was suppressed during replay (sealed blocks went
+        // straight into the history); publish the recovered chain once.
         node.rebuild_published();
         node.durable_log = Some(Wal::open(dir, faults)?);
         Ok(node)
@@ -1690,12 +1595,9 @@ impl LocalNode {
 
     // -- snapshot plumbing (full-image export/import lives in snapshot.rs)
 
-    pub(crate) fn all_blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    pub(crate) fn all_receipts(&self) -> &FxHashMap<H256, Receipt> {
-        &self.receipts
+    /// The committed history (blocks, receipts) — image export.
+    pub(crate) fn history(&self) -> &CommittedSnapshot {
+        &self.shadow
     }
 
     /// Pooled transactions in arrival order (snapshot-image export).
@@ -1722,13 +1624,8 @@ impl LocalNode {
         self.pool.status(|address| state.nonce(address))
     }
 
-    pub(crate) fn install_history(
-        &mut self,
-        blocks: Vec<Block>,
-        receipts: FxHashMap<H256, Receipt>,
-    ) {
-        self.blocks = blocks;
-        self.receipts = receipts;
+    pub(crate) fn install_history(&mut self, blocks: Vec<Block>, receipts: Vec<Receipt>) {
+        self.shadow.install_history(blocks, receipts);
     }
 
     /// Replace the pool with a dumped transaction list (image import,
@@ -1816,19 +1713,12 @@ impl Host for StateHost<'_> {
         self.state.set_storage(address, key, value)
     }
 
-    fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
-        if value.is_zero() {
-            return true;
-        }
-        if !self.state.debit(from, value) {
-            return false;
-        }
-        self.state.credit(to, value);
-        true
-    }
-
     fn mint(&mut self, to: Address, value: U256) {
         self.state.credit(to, value);
+    }
+
+    fn debit(&mut self, from: Address, value: U256) -> bool {
+        self.state.debit(from, value)
     }
 
     fn inc_nonce(&mut self, address: Address) -> u64 {

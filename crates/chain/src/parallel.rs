@@ -18,364 +18,69 @@
 //! existence) after an earlier transaction has committed is forced onto
 //! the re-execution path, keeping GASPRICE/fee-sensitive contracts exact.
 
-use crate::state::{Account, WorldState};
+use crate::state::WorldState;
 use crate::tx::{Receipt, Transaction, TxError};
-use lsc_evm::{
-    gas, AccessKey, AccessSet, AnalyzedCode, BlockEnv, Evm, Host, Log, Message, RecordingHost,
-};
-use lsc_primitives::{Address, FxHashMap, FxHashSet, H256, U256};
+use lsc_evm::{AccessKey, AccessSet, BlockEnv, Overlay, RecordingHost, SnapshotHost, StateView};
+use lsc_primitives::{H256, U256};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The buffered result of speculatively executing one transaction.
 pub(crate) struct SpecOutcome {
-    /// Receipt (with block fields unset) or the validation error,
-    /// mirroring `LocalNode::execute_transaction`.
-    pub result: Result<(H256, Receipt), TxError>,
+    /// Receipt (with block fields unset) or the validation error.
+    pub result: Result<Receipt, TxError>,
     /// Everything the execution read and wrote.
     pub access: AccessSet,
-    /// Final per-account overlay; `None` marks a self-destructed account.
-    pub writes: FxHashMap<Address, Option<Account>>,
+    /// The field-level write overlay; `None` marks a self-destructed
+    /// account.
+    pub writes: Overlay,
     /// Gas fee owed to the coinbase, applied commutatively at commit.
     pub fee: U256,
 }
 
-/// Read-only account source a speculation can run against: the node's
-/// live [`WorldState`] (in-lock mining) or a published
-/// [`crate::mvcc::CommittedSnapshot`] (the pipelined producer's
-/// lock-free stage A). The two views are equal at a given state epoch —
-/// every committed mutation publishes before its entry point returns —
-/// so speculation outcomes are interchangeable between them.
-pub(crate) trait BaseView: Sync {
-    /// The committed account at `address`, if one exists.
-    fn base_account(&self, address: Address) -> Option<&Account>;
-}
-
-impl BaseView for WorldState {
-    fn base_account(&self, address: Address) -> Option<&Account> {
-        self.account(address)
-    }
-}
-
-/// World-state view for one speculative transaction: reads fall through
-/// to the shared immutable base, writes land in a private copy-on-write
-/// overlay. EVM-level snapshot/revert clones the overlay — speculative
-/// transactions are small, and the base is never copied.
-struct SpecHost<'a, B: BaseView> {
-    base: &'a B,
-    env: &'a BlockEnv,
-    gas_price: U256,
-    recent_hashes: &'a [(u64, H256)],
-    overlay: FxHashMap<Address, Option<Account>>,
-    logs: Vec<Log>,
-    /// Snapshot id → (overlay clone, logs length).
-    snapshots: Vec<(FxHashMap<Address, Option<Account>>, usize)>,
-}
-
-impl<'a, B: BaseView> SpecHost<'a, B> {
-    fn new(
-        base: &'a B,
-        env: &'a BlockEnv,
-        gas_price: U256,
-        recent_hashes: &'a [(u64, H256)],
-    ) -> Self {
-        SpecHost {
-            base,
-            env,
-            gas_price,
-            recent_hashes,
-            overlay: FxHashMap::default(),
-            logs: Vec::new(),
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// Current view of an account (`None` when absent or destroyed).
-    fn view(&self, address: Address) -> Option<&Account> {
-        match self.overlay.get(&address) {
-            Some(Some(account)) => Some(account),
-            Some(None) => None,
-            None => self.base.base_account(address),
-        }
-    }
-
-    /// Copy-on-write mutable account, created empty when absent.
-    fn entry(&mut self, address: Address) -> &mut Account {
-        let base = self.base;
-        let slot = self
-            .overlay
-            .entry(address)
-            .or_insert_with(|| Some(base.base_account(address).cloned().unwrap_or_default()));
-        if slot.is_none() {
-            *slot = Some(Account::default());
-        }
-        slot.as_mut().expect("slot populated above")
-    }
-
-    fn credit(&mut self, address: Address, value: U256) {
-        let balance = self.view(address).map_or(U256::ZERO, |a| a.balance);
-        self.entry(address).balance = balance + value;
-    }
-
-    #[must_use]
-    fn debit(&mut self, address: Address, value: U256) -> bool {
-        let balance = self.view(address).map_or(U256::ZERO, |a| a.balance);
-        if balance < value {
-            return false;
-        }
-        self.entry(address).balance = balance - value;
-        true
-    }
-
-    fn set_nonce(&mut self, address: Address, nonce: u64) {
-        self.entry(address).nonce = nonce;
-    }
-}
-
-impl<B: BaseView> Host for SpecHost<'_, B> {
-    fn block(&self) -> &BlockEnv {
-        self.env
-    }
-
-    fn blockhash(&self, number: u64) -> H256 {
-        self.recent_hashes
-            .iter()
-            .find(|(n, _)| *n == number)
-            .map_or(H256::ZERO, |(_, h)| *h)
-    }
-
-    fn gas_price(&self) -> U256 {
-        self.gas_price
-    }
-
-    fn exists(&self, address: Address) -> bool {
-        self.view(address).is_some()
-    }
-
-    fn balance(&self, address: Address) -> U256 {
-        self.view(address).map_or(U256::ZERO, |a| a.balance)
-    }
-
-    fn nonce(&self, address: Address) -> u64 {
-        self.view(address).map_or(0, |a| a.nonce)
-    }
-
-    fn code(&self, address: Address) -> Vec<u8> {
-        self.view(address)
-            .map(|a| a.code.as_ref().clone())
-            .unwrap_or_default()
-    }
-
-    fn code_hash(&self, address: Address) -> H256 {
-        match self.view(address) {
-            Some(a) if !a.code.is_empty() => a.analysis().code_hash(),
-            _ => H256::ZERO,
-        }
-    }
-
-    fn code_analysis(&self, address: Address) -> Arc<AnalyzedCode> {
-        // Overlay accounts cloned from the base carry the base's cached
-        // analysis; cache fills on the shared base account benefit every
-        // later speculation (`OnceLock` is thread-safe).
-        match self.view(address) {
-            Some(a) if !a.code.is_empty() => a.analysis(),
-            _ => AnalyzedCode::empty(),
-        }
-    }
-
-    fn sload(&mut self, address: Address, key: U256) -> U256 {
-        self.view(address)
-            .and_then(|a| a.storage.get(&key).copied())
-            .unwrap_or(U256::ZERO)
-    }
-
-    fn sstore(&mut self, address: Address, key: U256, value: U256) -> U256 {
-        let previous = self.sload(address, key);
-        let account = self.entry(address);
-        if value.is_zero() {
-            account.storage.remove(&key);
-        } else {
-            account.storage.insert(key, value);
-        }
-        previous
-    }
-
-    fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
-        if value.is_zero() {
-            return true;
-        }
-        if !self.debit(from, value) {
-            return false;
-        }
-        self.credit(to, value);
-        true
-    }
-
-    fn mint(&mut self, to: Address, value: U256) {
-        self.credit(to, value);
-    }
-
-    fn inc_nonce(&mut self, address: Address) -> u64 {
-        let nonce = self.nonce(address);
-        self.set_nonce(address, nonce + 1);
-        nonce
-    }
-
-    fn set_code(&mut self, address: Address, code: Vec<u8>) {
-        let account = self.entry(address);
-        account.code = Arc::new(code);
-        // The cache slot must never describe the previous code.
-        account.analysis = std::sync::OnceLock::new();
-    }
-
-    fn create_account(&mut self, address: Address) {
-        if !self.exists(address) {
-            self.overlay.insert(address, Some(Account::default()));
-        }
-    }
-
-    fn selfdestruct(&mut self, address: Address, beneficiary: Address) {
-        let balance = self.balance(address);
-        if !balance.is_zero() {
-            let debited = self.debit(address, balance);
-            debug_assert!(debited);
-            self.credit(beneficiary, balance);
-        }
-        self.overlay.insert(address, None);
-    }
-
-    fn log(&mut self, log: Log) {
-        self.logs.push(log);
-    }
-
-    fn snapshot(&mut self) -> usize {
-        self.snapshots.push((self.overlay.clone(), self.logs.len()));
-        self.snapshots.len() - 1
-    }
-
-    fn revert(&mut self, snapshot: usize) {
-        let (overlay, logs_len) = self.snapshots[snapshot].clone();
-        self.overlay = overlay;
-        self.logs.truncate(logs_len);
-        self.snapshots.truncate(snapshot);
-    }
-}
-
-/// Speculatively execute `tx` against `state` without touching it.
+/// Speculatively execute `tx` against `view` without touching it.
 ///
-/// This mirrors `LocalNode::execute_transaction` step for step (nonce
-/// check, intrinsic gas, block gas limit, upfront balance, gas purchase,
-/// call-vs-create nonce bump, execution, refund-capped settlement) so
-/// that a conflict-free speculation is indistinguishable from a
-/// sequential run. The coinbase fee is *returned*, not applied, so the
-/// caller can credit it commutatively.
-pub(crate) fn speculate<B: BaseView>(
-    state: &B,
+/// `view` is the node's live [`WorldState`] (in-lock mining) or a
+/// published [`crate::mvcc::CommittedSnapshot`] (the pipelined producer's
+/// lock-free stage A). The two are equal at a given state epoch — every
+/// committed mutation publishes before its entry point returns — so
+/// speculation outcomes are interchangeable between them.
+///
+/// Runs [`Transaction::execute`], the same routine the sequential
+/// executor runs, so a conflict-free speculation is indistinguishable
+/// from a sequential run. A validation failure wrote nothing, but its
+/// recorded *reads* still matter: the error itself (wrong nonce, poor
+/// balance) must be revalidated if an earlier transaction touched them.
+pub(crate) fn speculate<V: StateView + Sync>(
+    view: &V,
     env: &BlockEnv,
     block_gas_limit: u64,
     recent_hashes: &[(u64, H256)],
     tx: &Transaction,
 ) -> SpecOutcome {
-    let mut host = RecordingHost::new(SpecHost::new(state, env, tx.gas_price, recent_hashes));
-
-    let abort = |host: RecordingHost<SpecHost<'_, B>>, error: TxError| {
-        // Validation failures happen before any state mutation, so the
-        // overlay is empty; the recorded *reads* still matter, because the
-        // error itself (wrong nonce, poor balance) must be revalidated if
-        // an earlier transaction touched them.
-        let (_, access) = host.into_parts();
-        SpecOutcome {
-            result: Err(error),
-            access,
-            writes: FxHashMap::default(),
-            fee: U256::ZERO,
+    let mut host = RecordingHost::new(SnapshotHost::new(view, env, tx.gas_price, recent_hashes));
+    let executed = tx.execute(&mut host, block_gas_limit);
+    let (host, access) = host.into_parts();
+    let (writes, logs) = host.into_writes();
+    let (result, fee) = match executed {
+        Ok((mut receipt, fee)) => {
+            receipt.logs = logs;
+            (Ok(receipt), fee)
         }
-    };
-
-    let expected_nonce = host.nonce(tx.from);
-    let nonce = tx.nonce.unwrap_or(expected_nonce);
-    if nonce != expected_nonce {
-        return abort(
-            host,
-            TxError::NonceMismatch {
-                expected: expected_nonce,
-                got: nonce,
-            },
-        );
-    }
-    let intrinsic = gas::tx_intrinsic_gas(tx.to.is_none(), &tx.data);
-    if tx.gas < intrinsic {
-        return abort(
-            host,
-            TxError::IntrinsicGasTooLow {
-                required: intrinsic,
-            },
-        );
-    }
-    if tx.gas > block_gas_limit {
-        return abort(host, TxError::ExceedsBlockGasLimit);
-    }
-    let upfront = U256::from(tx.gas) * tx.gas_price;
-    let Some(total) = upfront.checked_add(tx.value) else {
-        return abort(host, TxError::InsufficientFunds);
-    };
-    if host.balance(tx.from) < total {
-        return abort(host, TxError::InsufficientFunds);
-    }
-
-    // Buy gas.
-    host.record_write(AccessKey::Balance(tx.from));
-    let debited = host.inner.debit(tx.from, upfront);
-    debug_assert!(debited, "balance checked above");
-
-    let exec_gas = tx.gas - intrinsic;
-    let message = match tx.to {
-        Some(to) => {
-            // Calls bump the sender nonce here; creations bump it inside
-            // the EVM (the CREATE address derivation consumes it).
-            host.record_write(AccessKey::Nonce(tx.from));
-            host.inner.set_nonce(tx.from, expected_nonce + 1);
-            Message::call(tx.from, to, tx.value, tx.data.clone(), exec_gas)
-        }
-        None => Message::create(tx.from, tx.value, tx.data.clone(), exec_gas),
-    };
-
-    let result = Evm::new(&mut host).execute(message);
-
-    // Settle gas: refund capped at half of what was used.
-    let exec_used = exec_gas - result.gas_left;
-    let refund = result.gas_refund.min(exec_used / 2);
-    let gas_used = intrinsic + exec_used - refund;
-    let reimburse = U256::from(tx.gas - gas_used) * tx.gas_price;
-    host.record_write(AccessKey::Balance(tx.from));
-    host.inner.credit(tx.from, reimburse);
-    let fee = U256::from(gas_used) * tx.gas_price;
-
-    let (spec, access) = host.into_parts();
-    let tx_hash = tx.hash(nonce);
-    let receipt = Receipt {
-        tx_hash,
-        block_number: 0, // sealed by the caller
-        tx_index: 0,
-        status: u64::from(result.success),
-        gas_used,
-        effective_gas_price: tx.gas_price,
-        contract_address: result.created,
-        logs: spec.logs,
-        output: result.output,
+        Err(error) => (Err(error), U256::ZERO),
     };
     SpecOutcome {
-        result: Ok((tx_hash, receipt)),
+        result,
         access,
-        writes: spec.overlay,
+        writes,
         fee,
     }
 }
 
 /// Speculate every transaction concurrently against the same base state.
 /// Results come back in input order.
-pub(crate) fn speculate_batch<B: BaseView>(
-    state: &B,
+pub(crate) fn speculate_batch<V: StateView + Sync>(
+    state: &V,
     env: &BlockEnv,
     block_gas_limit: u64,
     recent_hashes: &[(u64, H256)],
@@ -415,65 +120,40 @@ pub(crate) fn speculate_batch<B: BaseView>(
 
 /// Apply a validated speculation's buffered writes to the world state.
 ///
-/// Only keys in the recorded write set are applied — never the whole
-/// overlay account — so state written by *earlier commits* on fields this
-/// transaction never touched survives. `StorageAll` (selfdestruct) is the
-/// exception: it replaces the account wholesale, which is sound because
-/// selfdestruct also *reads* `StorageAll` and therefore conflicts with
-/// any earlier per-slot write (see `RecordingHost::selfdestruct`).
-pub(crate) fn apply_writes(
-    state: &mut WorldState,
-    access: &AccessSet,
-    writes: &FxHashMap<Address, Option<Account>>,
-) {
-    // Whole-account replacements first.
-    let mut replaced: FxHashSet<Address> = FxHashSet::default();
-    for key in &access.writes {
-        if let AccessKey::StorageAll(address) = key {
-            state.destroy_account(*address);
-            if let Some(Some(account)) = writes.get(address) {
-                // Selfdestruct was reverted (or the account re-emerged):
-                // install its exact final state.
-                state.restore_account(*address, account.clone());
-            }
-            replaced.insert(*address);
+/// The overlay is field-level — it holds exactly what the transaction
+/// wrote and did not roll back, every entry under a key of the recorded
+/// write set — so state written by *earlier commits* on fields this
+/// transaction never touched survives. A self-destructed account is the
+/// exception: it is wiped first (and, if resurrected, rebuilt from the
+/// overlay alone), which is sound because selfdestruct also *reads*
+/// `StorageAll` and therefore conflicts with any earlier per-slot write
+/// (see `RecordingHost::selfdestruct`).
+pub(crate) fn apply_writes(state: &mut WorldState, access: &AccessSet, writes: &Overlay) {
+    let wrote = |key: AccessKey| access.writes.contains(&key);
+    for (&address, entry) in writes {
+        if entry.as_ref().is_none_or(|written| written.erased) {
+            debug_assert!(wrote(AccessKey::StorageAll(address)));
+            state.destroy_account(address);
         }
-    }
-    for key in &access.writes {
-        let address = key.address();
-        if replaced.contains(&address) {
-            continue;
+        let Some(written) = entry else { continue };
+        state.create_account(address);
+        if let Some(balance) = written.balance {
+            debug_assert!(wrote(AccessKey::Balance(address)));
+            state.set_balance(address, balance);
         }
-        // A write key without an overlay entry means the write never
-        // materialised (e.g. a failed transfer records conservatively):
-        // the base value stands.
-        let Some(entry) = writes.get(&address) else {
-            continue;
-        };
-        match (key, entry) {
-            (AccessKey::StorageAll(_), _) => unreachable!("handled above"),
-            (AccessKey::Existence(a), None) => state.destroy_account(*a),
-            (AccessKey::Existence(a), Some(_)) => state.create_account(*a),
-            (_, None) => {
-                // Destroyed account without StorageAll cannot happen (the
-                // selfdestruct recorder always emits it), but stay safe.
-                state.destroy_account(address);
-            }
-            (AccessKey::Balance(a), Some(account)) => state.set_balance(*a, account.balance),
-            (AccessKey::Nonce(a), Some(account)) => state.set_nonce(*a, account.nonce),
-            (AccessKey::Code(a), Some(account)) => {
-                // Share the blob and its analysis instead of copying the
-                // bytecode and re-analyzing it after commit.
-                state.install_code(
-                    *a,
-                    Arc::clone(&account.code),
-                    account.analysis.get().cloned(),
-                );
-            }
-            (AccessKey::Storage(a, slot), Some(account)) => {
-                let value = account.storage.get(slot).copied().unwrap_or(U256::ZERO);
-                state.set_storage(*a, *slot, value);
-            }
+        if let Some(nonce) = written.nonce {
+            debug_assert!(wrote(AccessKey::Nonce(address)));
+            state.set_nonce(address, nonce);
+        }
+        if let Some(code) = &written.code {
+            debug_assert!(wrote(AccessKey::Code(address)));
+            // Share the blob and its analysis instead of copying the
+            // bytecode and re-analyzing it after commit.
+            state.install_code(address, Arc::clone(code), written.analysis());
+        }
+        for (&slot, &value) in &written.storage {
+            debug_assert!(wrote(AccessKey::Storage(address, slot)));
+            state.set_storage(address, slot, value);
         }
     }
 }
@@ -483,6 +163,7 @@ mod tests {
     use super::*;
     use lsc_evm::asm::Asm;
     use lsc_evm::opcode::op;
+    use lsc_primitives::Address;
 
     fn addr(label: &str) -> Address {
         Address::from_label(label)
@@ -530,7 +211,7 @@ mod tests {
         apply_writes(&mut committed, &outcome.access, &outcome.writes);
         committed.commit();
         assert_eq!(committed.balance(addr("bob")), U256::from_u64(7));
-        let (_, receipt) = outcome.result.expect("transfer succeeds");
+        let receipt = outcome.result.expect("transfer succeeds");
         let spent = U256::from_u64(7) + U256::from(receipt.gas_used) * tx.gas_price;
         assert_eq!(
             committed.balance(addr("alice")),
@@ -586,7 +267,7 @@ mod tests {
         tx2.gas_price = U256::from_u64(1);
         let o1 = speculate(&state, &env, 30_000_000, &[], &tx1);
         let o2 = speculate(&state, &env, 30_000_000, &[], &tx2);
-        let (_, r1) = o1.result.as_ref().expect("tx1 ok");
+        let r1 = o1.result.as_ref().expect("tx1 ok");
         assert_eq!(r1.status, 1);
         assert!(o2.access.reads_conflict_with(&o1.access.writes));
         assert!(o2
@@ -619,7 +300,7 @@ mod tests {
         ];
         let outcomes = speculate_batch(&state, &env, 30_000_000, &[], &txs, 4);
         assert_eq!(outcomes.len(), 2);
-        let (h0, _) = outcomes[0].result.as_ref().expect("tx0 ok");
-        assert_eq!(*h0, txs[0].hash(0));
+        let r0 = outcomes[0].result.as_ref().expect("tx0 ok");
+        assert_eq!(r0.tx_hash, txs[0].hash(0));
     }
 }

@@ -178,13 +178,10 @@ fn produce_block(node: &Mutex<LocalNode>) -> bool {
             return false;
         };
         let config = node.config();
-        let workers = config.mining_workers.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        });
         (
             hint,
             node.published_snapshot(),
-            workers,
+            config.workers(),
             config.block_gas_limit,
         )
     };
@@ -194,7 +191,7 @@ fn produce_block(node: &Mutex<LocalNode>) -> bool {
         snapshot.as_ref(),
         &hint.env,
         gas_limit,
-        &hint.recent_hashes,
+        snapshot.recent_hashes(),
         &hint.txs,
         workers,
     );

@@ -9,7 +9,7 @@ use crate::state::Account;
 use crate::tx::{Block, Receipt, Transaction};
 use core::fmt;
 use lsc_abi::json::{parse, JsonValue};
-use lsc_primitives::{hex, keccak256, Address, H256, U256};
+use lsc_primitives::{hex, keccak256, Address, U256};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -121,8 +121,11 @@ impl LocalNode {
             );
         }
         let mut receipts: BTreeMap<String, JsonValue> = BTreeMap::new();
-        for (tx_hash, receipt) in self.all_receipts() {
-            receipts.insert(codec::h256_to_str(tx_hash), codec::receipt_to_json(receipt));
+        for receipt in self.history().receipts().values() {
+            receipts.insert(
+                codec::h256_to_str(&receipt.tx_hash),
+                codec::receipt_to_json(receipt),
+            );
         }
         let mut fields = vec![
             ("timestamp", JsonValue::Number(self.timestamp() as f64)),
@@ -133,7 +136,13 @@ impl LocalNode {
             ),
             (
                 "blocks",
-                JsonValue::Array(self.all_blocks().iter().map(codec::block_to_json).collect()),
+                JsonValue::Array(
+                    self.history()
+                        .blocks()
+                        .iter()
+                        .map(|block| codec::block_to_json(block))
+                        .collect(),
+                ),
             ),
             ("receipts", JsonValue::Object(receipts)),
             // The app tier's event history rides in the image so that
@@ -257,16 +266,14 @@ impl LocalNode {
         let Some(JsonValue::Object(receipt_docs)) = state.get("receipts") else {
             return bad("missing \"receipts\" object");
         };
-        let mut receipts: lsc_primitives::FxHashMap<H256, Receipt> =
-            lsc_primitives::FxHashMap::default();
-        receipts.reserve(receipt_docs.len());
+        let mut receipts: Vec<Receipt> = Vec::with_capacity(receipt_docs.len());
         for (key, body) in receipt_docs {
             let receipt = codec::receipt_from_json(body).map_err(SnapshotError)?;
             let key_hash = codec::h256_from_str(key).map_err(SnapshotError)?;
             if key_hash != receipt.tx_hash {
                 return bad(format!("receipt key {key} does not match its tx_hash"));
             }
-            receipts.insert(key_hash, receipt);
+            receipts.push(receipt);
         }
         let pending = state
             .get("pending")
@@ -304,7 +311,6 @@ impl LocalNode {
         self.install_pending(pending);
         self.install_app_events(app_events);
         self.set_clock(timestamp);
-        // History was replaced wholesale — republish from scratch.
         self.rebuild_published();
         Ok(imported)
     }

@@ -2,7 +2,7 @@
 //! with O(changes) snapshots/rollbacks (unlike the clone-everything
 //! `MockHost` used in `lsc-evm`'s own tests).
 
-use lsc_evm::analysis::{fastpath, AnalyzedCode};
+use lsc_evm::analysis::AnalyzedCode;
 use lsc_evm::StateView;
 use lsc_primitives::{Address, FxHashMap, FxHashSet, H256, U256};
 use std::sync::{Arc, OnceLock};
@@ -31,12 +31,7 @@ impl Account {
     }
 
     /// The cached code analysis, computing and memoizing it on first use.
-    /// With the fast path disabled the cache slot is bypassed entirely
-    /// (a fresh analysis per call — the pre-cache behaviour).
     pub fn analysis(&self) -> Arc<AnalyzedCode> {
-        if !fastpath::enabled() {
-            return AnalyzedCode::analyze(Arc::clone(&self.code));
-        }
         self.analysis
             .get_or_init(|| AnalyzedCode::analyze(Arc::clone(&self.code)))
             .clone()

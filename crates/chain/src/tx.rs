@@ -1,6 +1,6 @@
 //! Transactions, receipts and blocks.
 
-use lsc_evm::Log;
+use lsc_evm::{gas, Evm, Host, Log, Message};
 use lsc_primitives::rlp::{self, Item};
 use lsc_primitives::{Address, H256, U256};
 
@@ -83,6 +83,84 @@ impl Transaction {
             Item::Bytes(self.from.0.to_vec()),
         ]));
         H256::keccak(&encoded)
+    }
+
+    /// The one transaction routine: validate against the host's view,
+    /// buy gas, bump the nonce, run the EVM, settle with the refund
+    /// capped at half the gas used, and build the receipt. Every block
+    /// engine runs exactly this — the sequential executor over the
+    /// journaled state, speculation over an overlay — so the engines
+    /// cannot drift apart.
+    ///
+    /// Validation fails before anything is written. The host keeps the
+    /// emitted logs (the returned receipt's `logs` is empty and its
+    /// block fields unset — the caller fills both in) and the coinbase
+    /// fee is returned rather than credited: the sequential executor
+    /// credits it in place, speculation commutatively at commit.
+    pub(crate) fn execute<H: Host + Send>(
+        &self,
+        host: &mut H,
+        block_gas_limit: u64,
+    ) -> Result<(Receipt, U256), TxError> {
+        let expected_nonce = host.nonce(self.from);
+        let nonce = self.nonce.unwrap_or(expected_nonce);
+        if nonce != expected_nonce {
+            return Err(TxError::NonceMismatch {
+                expected: expected_nonce,
+                got: nonce,
+            });
+        }
+        let intrinsic = gas::tx_intrinsic_gas(self.to.is_none(), &self.data);
+        if self.gas < intrinsic {
+            return Err(TxError::IntrinsicGasTooLow {
+                required: intrinsic,
+            });
+        }
+        if self.gas > block_gas_limit {
+            return Err(TxError::ExceedsBlockGasLimit);
+        }
+        let upfront = U256::from(self.gas) * self.gas_price;
+        let total = upfront
+            .checked_add(self.value)
+            .ok_or(TxError::InsufficientFunds)?;
+        if host.balance(self.from) < total {
+            return Err(TxError::InsufficientFunds);
+        }
+
+        // Buy gas.
+        let debited = host.debit(self.from, upfront);
+        debug_assert!(debited, "balance checked above");
+
+        let exec_gas = self.gas - intrinsic;
+        let message = match self.to {
+            Some(to) => {
+                // Calls bump the sender nonce here; creations bump it inside
+                // the EVM (the CREATE address derivation consumes it).
+                host.inc_nonce(self.from);
+                Message::call(self.from, to, self.value, self.data.clone(), exec_gas)
+            }
+            None => Message::create(self.from, self.value, self.data.clone(), exec_gas),
+        };
+        let result = Evm::new(host).execute(message);
+
+        // Settle gas: refund capped at half of what was used.
+        let exec_used = exec_gas - result.gas_left;
+        let refund = result.gas_refund.min(exec_used / 2);
+        let gas_used = intrinsic + exec_used - refund;
+        host.mint(self.from, U256::from(self.gas - gas_used) * self.gas_price);
+
+        let receipt = Receipt {
+            tx_hash: self.hash(nonce),
+            block_number: 0,
+            tx_index: 0,
+            status: u64::from(result.success),
+            gas_used,
+            effective_gas_price: self.gas_price,
+            contract_address: result.created,
+            logs: Vec::new(),
+            output: result.output,
+        };
+        Ok((receipt, U256::from(gas_used) * self.gas_price))
     }
 }
 

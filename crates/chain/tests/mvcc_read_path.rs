@@ -256,9 +256,7 @@ fn readonly_call_is_bit_identical_to_locked_call() {
     // emits logs inside the overlay, all discarded.
     for (to, data) in [(getter, vec![]), (emitter, word(12))] {
         let locked = node.call(a, to, data.clone());
-        let readonly = node.call_readonly(a, to, data.clone());
         let handled = handle.call(a, to, data.clone());
-        assert_call_results_equal(&locked, &readonly, "locked vs readonly");
         assert_call_results_equal(&locked, &handled, "locked vs handle");
     }
 
@@ -271,7 +269,7 @@ fn readonly_call_is_bit_identical_to_locked_call() {
 
     // Tracing agrees step for step.
     let (locked_result, locked_steps) = node.debug_trace_call(a, getter, vec![]);
-    let (ro_result, ro_steps) = node.debug_trace_call_readonly(a, getter, vec![]);
+    let (ro_result, ro_steps) = handle.snapshot().debug_trace_call(a, getter, vec![]);
     assert_call_results_equal(&locked_result, &ro_result, "trace result");
     assert_eq!(locked_steps.len(), ro_steps.len(), "trace length");
 }
@@ -368,11 +366,33 @@ fn handle_matches_node_after_revert() {
     )
     .unwrap();
     assert_eq!(handle.block_number(), 3, "handle sees pre-revert tip");
+    let dropped: Vec<_> = (2..=3).map(|n| node.block(n).unwrap().clone()).collect();
+    assert!(
+        !handle.logs(2, 3, Some(emitter), None).is_empty(),
+        "the dropped blocks carried logs"
+    );
 
     assert!(node.revert_to_snapshot(snap_id));
     let interesting = vec![a, b, emitter, node.config().coinbase];
     assert_handle_matches_node(&node, &handle, &interesting);
     assert_eq!(handle.block_number(), 1, "handle rewound with the chain");
+    // Truncation took the dropped blocks out of every index — on the
+    // node and on the snapshot the handle now publishes.
+    let snap = handle.snapshot();
+    for block in &dropped {
+        assert!(snap.block_by_hash(block.hash).is_none(), "hash resolves");
+        assert!(node.block(block.number).is_none());
+        for tx_hash in &block.tx_hashes {
+            assert!(snap.receipt(*tx_hash).is_none(), "receipt survives");
+            assert!(node.receipt(*tx_hash).is_none());
+        }
+    }
+    for address in [None, Some(emitter)] {
+        let walked = node.logs(0, u64::MAX, address, None);
+        assert!(walked.iter().all(|(number, _)| *number <= 1));
+        assert_eq!(snap.logs(0, u64::MAX, address, None), walked);
+        assert_eq!(snap.logs_scan(0, u64::MAX, address, None), walked);
+    }
     assert_eq!(
         handle.storage_at(emitter, U256::from_u64(1)),
         U256::ZERO,

@@ -11,9 +11,12 @@ use proptest::prelude::*;
 
 const N_ACCOUNTS: usize = 4;
 
-/// Init code: PUSH1 value; PUSH1 slot; SSTORE; PUSH1 0; PUSH1 0; RETURN.
+/// Init code: PUSH1 value; PUSH1 slot; SSTORE; PUSH1 0; PUSH1 0; LOG0;
+/// PUSH1 0; PUSH1 0; RETURN — one storage write and one (empty) log.
 fn storing_init_code(value: u8, slot: u8) -> Vec<u8> {
-    vec![0x60, value, 0x60, slot, 0x55, 0x60, 0x00, 0x60, 0x00, 0xf3]
+    vec![
+        0x60, value, 0x60, slot, 0x55, 0x60, 0x00, 0x60, 0x00, 0xa0, 0x60, 0x00, 0x60, 0x00, 0xf3,
+    ]
 }
 
 /// Init code that stores a 20-byte address at slot 1 — the storage shape
@@ -122,7 +125,7 @@ proptest! {
         fresh.import_state(&image).expect("a self-exported image imports");
 
         // Identity: the re-export is byte-for-byte the same image.
-        prop_assert_eq!(fresh.export_state(), image);
+        prop_assert_eq!(&fresh.export_state(), &image);
         // And the interesting pieces explicitly: history, receipts' home
         // blocks, clock and pending queue.
         prop_assert_eq!(fresh.block_number(), node.block_number());
@@ -134,6 +137,33 @@ proptest! {
                 node.block(n).expect("block").hash
             );
         }
+
+        // An importer with a history of its own has it replaced
+        // wholesale (deploy values the op strategy never generates, so
+        // the two chains share no block): nothing of the old history is
+        // left in any index, on the node or on the snapshot it publishes.
+        let mut busy = LocalNode::new(N_ACCOUNTS);
+        let sender = busy.accounts()[0];
+        for value in 250..253 {
+            busy.send_transaction(Transaction::deploy(sender, storing_init_code(value, 0)))
+                .expect("pre-import deploy");
+        }
+        let replaced: Vec<_> = (1..=3).map(|n| busy.block(n).unwrap().clone()).collect();
+        busy.import_state(&image).expect("a self-exported image imports");
+        let snap = busy.published_snapshot();
+        for block in &replaced {
+            prop_assert!(snap.block_by_hash(block.hash).is_none());
+            prop_assert!(busy.block(block.number).is_none_or(|b| b.hash != block.hash));
+            for tx_hash in &block.tx_hashes {
+                prop_assert!(snap.receipt(*tx_hash).is_none());
+                prop_assert!(busy.receipt(*tx_hash).is_none());
+            }
+        }
+        let walked = busy.logs(0, u64::MAX, None, None);
+        prop_assert!(walked.iter().all(|(number, _)| *number <= node.block_number()));
+        prop_assert_eq!(&walked, &node.logs(0, u64::MAX, None, None));
+        prop_assert_eq!(&snap.logs(0, u64::MAX, None, None), &walked);
+        prop_assert_eq!(&snap.logs_scan(0, u64::MAX, None, None), &walked);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! bit-identically — block hashes, receipts, storage, pending queue.
 
 use lsc_chain::wal::{FaultPlan, Faults};
-use lsc_chain::{fault_injection_enabled, ChainConfig, LocalNode, Transaction, TxError};
+use lsc_chain::{
+    fault_injection_enabled, ChainConfig, CommittedSnapshot, LocalNode, Transaction, TxError,
+};
 use lsc_primitives::U256;
 use std::path::PathBuf;
 
@@ -20,10 +22,13 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Tiny init code: PUSH1 5; PUSH1 1; SSTORE; PUSH1 0; PUSH1 0; RETURN —
-/// a contract with storage but empty runtime.
+/// Tiny init code: PUSH1 5; PUSH1 1; SSTORE; PUSH1 0; PUSH1 0; LOG0;
+/// PUSH1 0; PUSH1 0; RETURN — a contract with storage and one (empty)
+/// log but empty runtime.
 fn storing_init_code() -> Vec<u8> {
-    vec![0x60, 0x05, 0x60, 0x01, 0x55, 0x60, 0x00, 0x60, 0x00, 0xf3]
+    vec![
+        0x60, 0x05, 0x60, 0x01, 0x55, 0x60, 0x00, 0x60, 0x00, 0xa0, 0x60, 0x00, 0x60, 0x00, 0xf3,
+    ]
 }
 
 /// A representative workload: faucet, instant transfers, a deployment,
@@ -67,6 +72,37 @@ fn assert_identical(expected: &LocalNode, recovered: &LocalNode) {
             recovered.block(n).unwrap().hash
         );
     }
+    assert_same_published_history(
+        &expected.published_snapshot(),
+        &recovered.published_snapshot(),
+    );
+}
+
+/// Replay appends straight into the history the node publishes: the
+/// snapshot a reader gets after recovery must equal the pre-crash one —
+/// blocks, hash lookup, receipts and the log index.
+fn assert_same_published_history(before: &CommittedSnapshot, after: &CommittedSnapshot) {
+    assert_eq!(before.block_number(), after.block_number());
+    for n in 0..=before.block_number() {
+        let (want, got) = (before.block(n).unwrap(), after.block(n).unwrap());
+        assert_eq!(got.hash, want.hash);
+        assert_eq!(got.tx_hashes, want.tx_hashes);
+        assert_eq!(after.block_by_hash(want.hash).unwrap().number, n);
+        for tx_hash in &want.tx_hashes {
+            let (want, got) = (
+                before.receipt(*tx_hash).unwrap(),
+                after.receipt(*tx_hash).unwrap(),
+            );
+            assert_eq!(
+                (got.block_number, got.tx_index, got.status, got.gas_used),
+                (want.block_number, want.tx_index, want.status, want.gas_used)
+            );
+            assert_eq!(got.logs, want.logs);
+        }
+    }
+    let logs = before.logs(0, u64::MAX, None, None);
+    assert!(!logs.is_empty(), "the workload emits logs");
+    assert_eq!(after.logs(0, u64::MAX, None, None), logs);
 }
 
 #[test]
@@ -75,10 +111,12 @@ fn recover_replays_the_full_log() {
     let mut node = LocalNode::open(&dir, ChainConfig::default(), 5, Faults::none()).unwrap();
     run_workload(&mut node);
     let expected = node.export_state();
+    let published = node.published_snapshot();
     drop(node);
 
     let recovered = LocalNode::recover(&dir, Faults::none()).unwrap();
     assert_eq!(recovered.export_state(), expected);
+    assert_same_published_history(&published, &recovered.published_snapshot());
     std::fs::remove_dir_all(&dir).ok();
 }
 

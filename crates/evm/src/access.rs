@@ -115,12 +115,6 @@ impl AccessSet {
             || self.writes.contains(&balance)
             || self.writes.contains(&existence)
     }
-
-    /// Merge another set's writes into this one's writes (committed-state
-    /// accumulation in the commit loop).
-    pub fn absorb_writes(&mut self, other: &AccessSet) {
-        self.writes.extend(other.writes.iter().copied());
-    }
 }
 
 /// A [`Host`] adapter recording every state access into an [`AccessSet`]
@@ -160,15 +154,11 @@ impl<H: Host> RecordingHost<H> {
         self.access.borrow().clone()
     }
 
-    /// Record a read made outside the [`Host`] interface (transaction
-    /// validation reads the sender's nonce and balance directly).
-    pub fn record_read(&self, key: AccessKey) {
+    fn record_read(&self, key: AccessKey) {
         self.access.borrow_mut().read(key);
     }
 
-    /// Record a write made outside the [`Host`] interface (gas purchase
-    /// debits the sender before execution starts).
-    pub fn record_write(&self, key: AccessKey) {
+    fn record_write(&self, key: AccessKey) {
         self.access.borrow_mut().write(key);
     }
 
@@ -256,6 +246,12 @@ impl<H: Host> Host for RecordingHost<H> {
         self.record_write(AccessKey::Balance(to));
         self.note_existence_write(to);
         self.inner.mint(to, value);
+    }
+
+    fn debit(&mut self, from: Address, value: U256) -> bool {
+        self.record_read(AccessKey::Balance(from));
+        self.record_write(AccessKey::Balance(from));
+        self.inner.debit(from, value)
     }
 
     fn inc_nonce(&mut self, address: Address) -> u64 {

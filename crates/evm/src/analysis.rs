@@ -214,28 +214,6 @@ impl AnalyzedCode {
     }
 }
 
-/// Process-wide toggle for the execution fast path (analysis cache,
-/// frame-buffer pool, inline top-level frames). Defaults to **on**; the
-/// `exec_fastpath` benchmark flips it off to measure the "before" series.
-/// Semantics are bit-identical either way — only allocation/caching
-/// behaviour changes.
-pub mod fastpath {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Is the fast path on?
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Turn the fast path on or off (benchmarks/tests only).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-}
-
 /// Process-wide A/B toggle for the basic-block superinstruction path.
 /// Defaults to **on**; the plain interpreter remains the executable
 /// oracle and can be restored at runtime by flipping this off. Semantics

@@ -86,9 +86,23 @@ pub trait Host {
     /// Write a storage slot; returns the previous value for gas metering.
     fn sstore(&mut self, address: Address, key: U256, value: U256) -> U256;
     /// Move `value` wei; `false` if the sender's balance is insufficient.
-    fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool;
-    /// Credit `value` wei out of thin air (block rewards, test faucets).
+    /// A zero-value transfer touches neither account.
+    fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
+        if value.is_zero() {
+            return true;
+        }
+        if !self.debit(from, value) {
+            return false;
+        }
+        self.mint(to, value);
+        true
+    }
+    /// Credit `value` wei out of thin air (block rewards, test faucets,
+    /// the gas reimbursement at transaction settlement).
     fn mint(&mut self, to: Address, value: U256);
+    /// Debit `value` wei into thin air (the gas purchase at transaction
+    /// start); `false`, and no change, if the balance is insufficient.
+    fn debit(&mut self, from: Address, value: U256) -> bool;
     /// Increment an account's nonce, returning the value *before*.
     fn inc_nonce(&mut self, address: Address) -> u64;
     /// Install code at an address (end of a successful CREATE).
@@ -213,23 +227,18 @@ impl Host for MockHost {
         prev
     }
 
-    fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
-        if value.is_zero() {
-            return true;
-        }
-        let from_balance = self.balance(from);
-        if from_balance < value {
-            return false;
-        }
-        self.balances.insert(from, from_balance - value);
-        let to_balance = self.balance(to);
-        self.balances.insert(to, to_balance + value);
-        true
-    }
-
     fn mint(&mut self, to: Address, value: U256) {
         let balance = self.balance(to);
         self.balances.insert(to, balance + value);
+    }
+
+    fn debit(&mut self, from: Address, value: U256) -> bool {
+        let balance = self.balance(from);
+        if balance < value {
+            return false;
+        }
+        self.balances.insert(from, balance - value);
+        true
     }
 
     fn inc_nonce(&mut self, address: Address) -> u64 {

@@ -1,7 +1,7 @@
 //! The bytecode interpreter: executes call/create message frames against a
 //! [`Host`], with full gas metering, nested calls, reverts and logs.
 
-use crate::analysis::{fastpath, superinstr, AnalyzedCode};
+use crate::analysis::{superinstr, AnalyzedCode};
 use crate::compile::{COp, CompiledCode};
 use crate::gas::{self, GasMeter, OutOfGas};
 use crate::host::{Host, Log};
@@ -14,10 +14,9 @@ use std::sync::Arc;
 /// Maximum call/create nesting depth.
 pub const MAX_CALL_DEPTH: u32 = 1024;
 
-/// With the fast path on, frames run on the caller's thread and hop to a
-/// fresh stack every `FRAME_HOP` nesting levels instead of paying one
-/// dedicated 64 MiB thread per transaction. Chosen so `FRAME_HOP` debug
-/// frames comfortably fit a default 2 MiB thread stack.
+/// Frames run on the caller's thread and hop to a fresh stack every
+/// `FRAME_HOP` nesting levels. Chosen so `FRAME_HOP` debug frames
+/// comfortably fit a default 2 MiB thread stack.
 const FRAME_HOP: u32 = 16;
 
 /// Stack size of each hop thread (holds `FRAME_HOP` interpreter frames).
@@ -266,49 +265,18 @@ impl<'h, H: Host> Evm<'h, H> {
 
     /// Execute a message frame to completion.
     ///
-    /// With the fast path on (the default), frames run on the calling
-    /// thread and hop to a fresh [`FRAME_STACK_BYTES`] thread every
-    /// [`FRAME_HOP`] nesting levels, so the full 1024-frame call depth
-    /// still cannot overflow any native stack while typical shallow
-    /// transactions pay no thread spawn at all. With the fast path off,
-    /// the legacy strategy applies: every top-level message (depth 0)
-    /// runs on a dedicated thread with a 64 MiB stack.
+    /// Frames run on the calling thread and hop to a fresh
+    /// [`FRAME_STACK_BYTES`] thread every [`FRAME_HOP`] nesting levels,
+    /// so the full 1024-frame call depth cannot overflow any native
+    /// stack while typical shallow transactions pay no thread spawn.
     pub fn execute(&mut self, msg: Message) -> CallResult
-    where
-        H: Send,
-    {
-        if msg.depth == 0 && !fastpath::enabled() {
-            let config = self.config.clone();
-            let host = &mut *self.host;
-            let (result, steps, trace) = std::thread::scope(|scope| {
-                std::thread::Builder::new()
-                    .name("lsc-evm-interpreter".into())
-                    .stack_size(64 << 20)
-                    .spawn_scoped(scope, move || {
-                        let mut evm = Evm::with_config(host, config);
-                        let result = evm.execute_frame(msg);
-                        (result, evm.steps, evm.trace)
-                    })
-                    .expect("spawn interpreter thread")
-                    .join()
-                    .expect("interpreter thread panicked")
-            });
-            self.steps += steps;
-            self.trace.extend(trace);
-            return result;
-        }
-        self.execute_frame(msg)
-    }
-
-    /// Execute a frame on the current thread (recursive entry point).
-    fn execute_frame(&mut self, msg: Message) -> CallResult
     where
         H: Send,
     {
         if msg.depth > MAX_CALL_DEPTH {
             return CallResult::halt(Halt::CallDepth);
         }
-        if fastpath::enabled() && msg.depth > 0 && msg.depth.is_multiple_of(FRAME_HOP) {
+        if msg.depth > 0 && msg.depth.is_multiple_of(FRAME_HOP) {
             return self.execute_on_fresh_stack(msg);
         }
         self.dispatch_frame(msg)
@@ -451,12 +419,7 @@ impl<'h, H: Host> Evm<'h, H> {
     where
         H: Send,
     {
-        let reuse = fastpath::enabled();
-        let mut bufs = if reuse {
-            self.pool.pop().unwrap_or_default()
-        } else {
-            FrameBufs::default()
-        };
+        let mut bufs = self.pool.pop().unwrap_or_default();
         bufs.reset();
         // Superinstruction path: only when the toggle is on, no tracing
         // or step counting is requested (those observe per-opcode state
@@ -476,7 +439,7 @@ impl<'h, H: Host> Evm<'h, H> {
             None => self.frame_loop(msg, analysis, this, &mut bufs, 0, GasMeter::new(msg.gas)),
         };
         // Oversized memories are dropped rather than parked in the pool.
-        if reuse && bufs.memory.capacity() <= POOL_MEMORY_CAP {
+        if bufs.memory.capacity() <= POOL_MEMORY_CAP {
             self.pool.push(bufs);
         }
         result
@@ -978,7 +941,7 @@ impl<'h, H: Host> Evm<'h, H> {
                         is_static: false,
                         depth: msg.depth + 1,
                     };
-                    let result = self.execute_frame(child);
+                    let result = self.execute(child);
                     meter.reclaim(result.gas_left);
                     if result.success {
                         meter.add_refund(result.gas_refund);
@@ -1071,7 +1034,7 @@ impl<'h, H: Host> Evm<'h, H> {
                             depth: msg.depth + 1,
                         },
                     };
-                    let mut result = self.execute_frame(child);
+                    let mut result = self.execute(child);
                     // Unused child gas (beyond any stipend) returns to us.
                     meter.reclaim(result.gas_left.min(child_gas));
                     if result.success {
@@ -1699,7 +1662,7 @@ impl<'h, H: Host> Evm<'h, H> {
                                     depth: msg.depth + 1,
                                 },
                             };
-                            let mut result = self.execute_frame(child);
+                            let mut result = self.execute(child);
                             fused += result.gas_left.min(child_gas) as i64;
                             if result.success {
                                 refund = refund.saturating_add(result.gas_refund);

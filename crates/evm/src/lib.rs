@@ -26,10 +26,10 @@ pub mod snapshot_host;
 pub mod stack;
 
 pub use access::{AccessKey, AccessSet, RecordingHost};
-pub use analysis::{fastpath, memo_stats, superinstr, AnalyzedCode};
+pub use analysis::{memo_stats, superinstr, AnalyzedCode};
 pub use compile::{classify, CompiledCode, PathClass};
 pub use host::{BlockEnv, Host, Log, MockHost};
 pub use interpreter::{
     CallKind, CallResult, Config, Evm, Halt, Message, TraceStep, MAX_CALL_DEPTH, MAX_TRACE_STEPS,
 };
-pub use snapshot_host::{SnapshotHost, StateView};
+pub use snapshot_host::{Overlay, OverlayAccount, SnapshotHost, StateView};

@@ -1,12 +1,13 @@
-//! Read-only execution over an immutable state view.
+//! Execution over an immutable state view.
 //!
 //! [`SnapshotHost`] adapts any [`StateView`] — an *immutable* account
 //! store, typically a published MVCC snapshot — into a full [`Host`]:
 //! reads fall through to the view, writes land in a private overlay, so
-//! `eth_call` / `eth_estimateGas` can run arbitrary bytecode (including
-//! SSTOREs, CREATEs and SELFDESTRUCTs) without a `&mut` anywhere near
-//! the underlying state. Any number of concurrent executions can share
-//! one view.
+//! arbitrary bytecode (including SSTOREs, CREATEs and SELFDESTRUCTs)
+//! runs without a `&mut` anywhere near the underlying state. Any number
+//! of concurrent executions can share one view. `eth_call` /
+//! `eth_estimateGas` drop the overlay; speculative block execution takes
+//! it with [`SnapshotHost::into_writes`] and commits it later.
 //!
 //! The overlay semantics mirror the chain tier's journaled `StateHost`
 //! step for step (the differential tests in `lsc-chain` hold the two
@@ -46,38 +47,65 @@ pub trait StateView {
 /// view unless `erased` is set (the account was self-destructed and
 /// later resurrected — the base must stay shadowed).
 #[derive(Clone, Default)]
-struct OverlayAccount {
-    erased: bool,
-    balance: Option<U256>,
-    nonce: Option<u64>,
-    code: Option<Arc<Vec<u8>>>,
+pub struct OverlayAccount {
+    /// The base account is shadowed entirely: unset fields read as zero.
+    pub erased: bool,
+    /// Written balance.
+    pub balance: Option<U256>,
+    /// Written nonce.
+    pub nonce: Option<u64>,
+    /// Written code.
+    pub code: Option<Arc<Vec<u8>>>,
     /// Memoized analysis of the *overlay* code (base code analysis is
     /// served by the view's own cache).
     analysis: OnceLock<Arc<AnalyzedCode>>,
     /// Written slots; zero values are kept explicitly so they shadow
     /// non-zero base values instead of falling through.
-    storage: FxHashMap<U256, U256>,
+    pub storage: FxHashMap<U256, U256>,
 }
+
+impl OverlayAccount {
+    /// The analysis of the overlay code, if execution computed one.
+    pub fn analysis(&self) -> Option<Arc<AnalyzedCode>> {
+        self.analysis.get().cloned()
+    }
+
+    /// The (memoized) analysis of the written code; `None` when this
+    /// overlay never wrote code.
+    fn written_analysis(&self) -> Option<Arc<AnalyzedCode>> {
+        let code = self.code.as_ref()?;
+        Some(if code.is_empty() {
+            AnalyzedCode::empty()
+        } else {
+            self.analysis
+                .get_or_init(|| AnalyzedCode::analyze(Arc::clone(code)))
+                .clone()
+        })
+    }
+}
+
+/// A [`SnapshotHost`]'s buffered writes; `None` marks a self-destructed
+/// account (base shadowed).
+pub type Overlay = FxHashMap<Address, Option<OverlayAccount>>;
 
 /// A [`Host`] that executes against an immutable [`StateView`], buffering
 /// every write in an overlay. Dropping the host discards the writes —
-/// exactly the contract of `eth_call`.
+/// exactly the contract of `eth_call`; [`SnapshotHost::into_writes`]
+/// keeps them.
 pub struct SnapshotHost<'a, V: StateView> {
     base: &'a V,
     env: &'a BlockEnv,
     gas_price: U256,
     recent_hashes: &'a [(u64, H256)],
-    /// `Some(None)` marks a self-destructed account (base shadowed).
-    overlay: FxHashMap<Address, Option<OverlayAccount>>,
-    /// Logs emitted during execution (discarded with the host, but kept
-    /// so revert semantics match the journaled host).
+    overlay: Overlay,
+    /// Logs emitted during execution.
     pub logs: Vec<Log>,
     /// Snapshot id → (overlay clone, logs length).
-    snapshots: Vec<(FxHashMap<Address, Option<OverlayAccount>>, usize)>,
+    snapshots: Vec<(Overlay, usize)>,
 }
 
 impl<'a, V: StateView> SnapshotHost<'a, V> {
-    /// Wrap a view for one read-only execution.
+    /// Wrap a view for one execution.
     pub fn new(
         base: &'a V,
         env: &'a BlockEnv,
@@ -99,12 +127,10 @@ impl<'a, V: StateView> SnapshotHost<'a, V> {
     /// fully-erased empties (a resurrected account must never read the
     /// base through its `None` fields).
     fn entry(&mut self, address: Address) -> &mut OverlayAccount {
-        let slot = self.overlay.entry(address).or_insert_with(|| {
-            Some(OverlayAccount {
-                erased: false,
-                ..OverlayAccount::default()
-            })
-        });
+        let slot = self
+            .overlay
+            .entry(address)
+            .or_insert_with(|| Some(OverlayAccount::default()));
         if slot.is_none() {
             *slot = Some(OverlayAccount {
                 erased: true,
@@ -114,19 +140,31 @@ impl<'a, V: StateView> SnapshotHost<'a, V> {
         slot.as_mut().expect("slot populated above")
     }
 
-    fn credit(&mut self, address: Address, value: U256) {
-        let balance = self.balance(address);
-        self.entry(address).balance = Some(balance + value);
+    /// Resolve one account field — the single statement of the overlay's
+    /// shadowing rule: the written value if there is one; else `None`
+    /// (the field reads as zero/empty) when the base is shadowed by a
+    /// self-destruct; else the base view's value.
+    fn read<T>(
+        &self,
+        address: Address,
+        written: impl FnOnce(&OverlayAccount) -> Option<T>,
+        base: impl FnOnce(&V) -> T,
+    ) -> Option<T> {
+        let shadowed = match self.overlay.get(&address) {
+            Some(Some(o)) => match written(o) {
+                Some(value) => return Some(value),
+                None => o.erased,
+            },
+            Some(None) => true,
+            None => false,
+        };
+        (!shadowed).then(|| base(self.base))
     }
 
-    #[must_use]
-    fn debit(&mut self, address: Address, value: U256) -> bool {
-        let balance = self.balance(address);
-        if balance < value {
-            return false;
-        }
-        self.entry(address).balance = Some(balance - value);
-        true
+    /// Consume the host, keeping what the execution wrote: the
+    /// field-level overlay and the emitted logs.
+    pub fn into_writes(self) -> (Overlay, Vec<Log>) {
+        (self.overlay, self.logs)
     }
 }
 
@@ -148,93 +186,53 @@ impl<V: StateView> Host for SnapshotHost<'_, V> {
 
     fn exists(&self, address: Address) -> bool {
         match self.overlay.get(&address) {
-            Some(Some(_)) => true,
-            Some(None) => false,
+            Some(entry) => entry.is_some(),
             None => self.base.view_exists(address),
         }
     }
 
     fn balance(&self, address: Address) -> U256 {
-        match self.overlay.get(&address) {
-            Some(Some(o)) => o.balance.unwrap_or_else(|| {
-                if o.erased {
-                    U256::ZERO
-                } else {
-                    self.base.view_balance(address)
-                }
-            }),
-            Some(None) => U256::ZERO,
-            None => self.base.view_balance(address),
-        }
+        self.read(address, |o| o.balance, |base| base.view_balance(address))
+            .unwrap_or(U256::ZERO)
     }
 
     fn nonce(&self, address: Address) -> u64 {
-        match self.overlay.get(&address) {
-            Some(Some(o)) => o.nonce.unwrap_or_else(|| {
-                if o.erased {
-                    0
-                } else {
-                    self.base.view_nonce(address)
-                }
-            }),
-            Some(None) => 0,
-            None => self.base.view_nonce(address),
-        }
+        self.read(address, |o| o.nonce, |base| base.view_nonce(address))
+            .unwrap_or(0)
     }
 
     fn code(&self, address: Address) -> Vec<u8> {
-        match self.overlay.get(&address) {
-            Some(Some(o)) => match &o.code {
-                Some(code) => code.as_ref().clone(),
-                None if o.erased => Vec::new(),
-                None => self.base.view_code(address).as_ref().clone(),
-            },
-            Some(None) => Vec::new(),
-            None => self.base.view_code(address).as_ref().clone(),
-        }
+        self.read(
+            address,
+            |o| o.code.as_ref().map(|code| code.as_ref().clone()),
+            |base| base.view_code(address).as_ref().clone(),
+        )
+        .unwrap_or_default()
     }
 
     fn code_hash(&self, address: Address) -> H256 {
-        match self.overlay.get(&address) {
-            Some(Some(o)) => match &o.code {
-                Some(code) if code.is_empty() => H256::ZERO,
-                Some(_) => self.code_analysis(address).code_hash(),
-                None if o.erased => H256::ZERO,
-                None => self.base.view_code_hash(address),
-            },
-            Some(None) => H256::ZERO,
-            None => self.base.view_code_hash(address),
-        }
+        self.read(
+            address,
+            |o| o.written_analysis().map(|analysis| analysis.code_hash()),
+            |base| base.view_code_hash(address),
+        )
+        .unwrap_or(H256::ZERO)
     }
 
     fn code_analysis(&self, address: Address) -> Arc<AnalyzedCode> {
-        match self.overlay.get(&address) {
-            Some(Some(o)) => match &o.code {
-                Some(code) if code.is_empty() => AnalyzedCode::empty(),
-                Some(code) => o
-                    .analysis
-                    .get_or_init(|| AnalyzedCode::analyze(Arc::clone(code)))
-                    .clone(),
-                None if o.erased => AnalyzedCode::empty(),
-                None => self.base.view_code_analysis(address),
-            },
-            Some(None) => AnalyzedCode::empty(),
-            None => self.base.view_code_analysis(address),
-        }
+        self.read(address, OverlayAccount::written_analysis, |base| {
+            base.view_code_analysis(address)
+        })
+        .unwrap_or_else(AnalyzedCode::empty)
     }
 
     fn sload(&mut self, address: Address, key: U256) -> U256 {
-        match self.overlay.get(&address) {
-            Some(Some(o)) => o.storage.get(&key).copied().unwrap_or_else(|| {
-                if o.erased {
-                    U256::ZERO
-                } else {
-                    self.base.view_storage(address, key)
-                }
-            }),
-            Some(None) => U256::ZERO,
-            None => self.base.view_storage(address, key),
-        }
+        self.read(
+            address,
+            |o| o.storage.get(&key).copied(),
+            |base| base.view_storage(address, key),
+        )
+        .unwrap_or(U256::ZERO)
     }
 
     fn sstore(&mut self, address: Address, key: U256, value: U256) -> U256 {
@@ -245,19 +243,18 @@ impl<V: StateView> Host for SnapshotHost<'_, V> {
         previous
     }
 
-    fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
-        if value.is_zero() {
-            return true;
-        }
-        if !self.debit(from, value) {
-            return false;
-        }
-        self.credit(to, value);
-        true
+    fn mint(&mut self, to: Address, value: U256) {
+        let balance = self.balance(to);
+        self.entry(to).balance = Some(balance + value);
     }
 
-    fn mint(&mut self, to: Address, value: U256) {
-        self.credit(to, value);
+    fn debit(&mut self, from: Address, value: U256) -> bool {
+        let balance = self.balance(from);
+        if balance < value {
+            return false;
+        }
+        self.entry(from).balance = Some(balance - value);
+        true
     }
 
     fn inc_nonce(&mut self, address: Address) -> u64 {
@@ -284,7 +281,7 @@ impl<V: StateView> Host for SnapshotHost<'_, V> {
         if !balance.is_zero() {
             let debited = self.debit(address, balance);
             debug_assert!(debited);
-            self.credit(beneficiary, balance);
+            self.mint(beneficiary, balance);
         }
         self.overlay.insert(address, None);
     }

@@ -1,15 +1,11 @@
-//! Random bytecode through the cached and uncached execution paths must
+//! Random bytecode through an uncached and a cached analysis host must
 //! be indistinguishable: identical results, output, gas, refunds, logs
 //! and final host state. "Uncached" is `MockHost`'s default
-//! `code_analysis` (a fresh analysis per call) with the fast path
-//! toggled OFF (no frame pool, legacy thread strategy); "cached" wraps
-//! the same host with a per-address memoized analysis — the shape the
-//! chain's account store uses — with the fast path ON.
-//!
-//! This file holds exactly one `#[test]` so flipping the process-global
-//! `fastpath` toggle cannot race another test thread in the binary.
+//! `code_analysis` (a fresh analysis per call); "cached" wraps the same
+//! host with a per-address memoized analysis — the shape the chain's
+//! account store uses — which must be invalidated on every code change
+//! and rollback.
 
-use lsc_evm::analysis::fastpath;
 use lsc_evm::{AnalyzedCode, BlockEnv, CallResult, Evm, Host, Log, MockHost};
 use lsc_primitives::{Address, H256, U256};
 use proptest::prelude::*;
@@ -81,6 +77,9 @@ impl Host for CachingHost {
     fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
         self.inner.transfer(from, to, value)
     }
+    fn debit(&mut self, from: Address, value: U256) -> bool {
+        self.inner.debit(from, value)
+    }
     fn mint(&mut self, to: Address, value: U256) {
         self.inner.mint(to, value);
     }
@@ -113,20 +112,12 @@ impl Host for CachingHost {
     }
 }
 
-/// Restore the global toggle even if an assertion unwinds mid-test.
-struct FastpathGuard;
-impl Drop for FastpathGuard {
-    fn drop(&mut self) {
-        fastpath::set_enabled(true);
-    }
-}
-
 fn caller() -> Address {
-    Address::from_label("fastpath-caller")
+    Address::from_label("cache-caller")
 }
 
 fn contract() -> Address {
-    Address::from_label("fastpath-contract")
+    Address::from_label("cache-contract")
 }
 
 fn setup_host(code: &[u8]) -> MockHost {
@@ -194,17 +185,9 @@ proptest! {
         code in proptest::collection::vec(any::<u8>(), 0..160),
         data in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        let _guard = FastpathGuard;
-
-        // Uncached baseline: default Host::code_analysis on MockHost,
-        // fast path off.
-        fastpath::set_enabled(false);
         let mut plain = setup_host(&code);
         let plain_result = Evm::new(&mut plain).execute(run_message(&code, &data));
 
-        // Cached: memoizing host, fast path on (frame pool + inline
-        // top-level frames).
-        fastpath::set_enabled(true);
         let mut caching = CachingHost::new(setup_host(&code));
         let cached_result = Evm::new(&mut caching).execute(run_message(&code, &data));
 
