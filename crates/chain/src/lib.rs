@@ -17,6 +17,7 @@ pub mod mempool;
 pub mod mvcc;
 pub mod node;
 mod parallel;
+mod persistent;
 pub mod producer;
 pub mod snapshot;
 pub mod state;

@@ -2,16 +2,31 @@
 //! read handles.
 //!
 //! On every committed mutation (instant tx, mined batch, faucet, clock
-//! move, snapshot revert, WAL recovery) the node publishes an immutable
-//! [`CommittedSnapshot`] — world state with `Arc`-shared accounts and
-//! code blobs, block headers, receipts, and a log index — by swapping an
-//! `Arc` behind a `parking_lot::RwLock`. A [`ReadHandle`] clones that
-//! `Arc` (one brief read-lock of the *slot*, never of the node) and then
-//! serves every read — balances, code, storage, receipts, `eth_getLogs`,
-//! even full `eth_call`/`eth_estimateGas` via a [`SnapshotHost`] overlay
-//! — against a frozen committed prefix of the chain. Readers scale with
-//! cores; writers pay O(changed accounts + new blocks) per publication
-//! because everything unchanged is shared by pointer.
+//! move, snapshot revert, WAL recovery, image import) the node publishes
+//! an immutable [`CommittedSnapshot`] — world state, block headers,
+//! receipts and a log index — by swapping an `Arc` behind a
+//! `parking_lot::RwLock`. A [`ReadHandle`] clones that `Arc` (one brief
+//! read-lock of the *slot*, never of the node) and then serves every read
+//! — balances, code, storage, receipts, `eth_getLogs`, even full
+//! `eth_call`/`eth_estimateGas` via a [`SnapshotHost`] overlay — against
+//! a frozen committed prefix of the chain. Readers scale with cores.
+//!
+//! What a publication costs the writer: the snapshot's tables are
+//! persistent collections (`persistent.rs`), so the clone that
+//! `publish` hands to readers is a refcount bump per table, whatever the
+//! chain's length. The copying happens afterwards and piecemeal — the
+//! next block's writes into the publisher's working copy path-copy the
+//! tree nodes the published snapshot still shares (at most one node of
+//! 32 slots per level, log₃₂ n levels) and mutate in place what it does
+//! not. Per sealed block that is the right spine of the block-indexed
+//! vectors, one map path per receipt and per dirty account (and a clone
+//! of that account, storage map included), and the tail leaf of each
+//! posting list the block appends to: O(block · log₃₂ history).
+//! Posting lists are persistent vectors rather than `Arc<Vec<_>>`
+//! because `Arc::make_mut` on a shared `Vec` copies the whole list, and
+//! the busiest list — topic-0 of the payment event — is every payment
+//! ever made. A snapshot a reader keeps holds on to exactly the nodes
+//! that were live when it was taken; nothing later reaches into them.
 //!
 //! The publication invariant: **by the time any public state-changing
 //! entry point of `LocalNode` returns, the published snapshot reflects
@@ -23,24 +38,23 @@
 //! committed prefix. The count lives in an atomic shared between the
 //! publisher's shadow and every clone it published, so a submission
 //! updates it in place (plus a sequence bump waking publication
-//! waiters) instead of cloning a whole snapshot per submit — the write
-//! path's former bottleneck. Chain state in the snapshot stays frozen;
-//! only the depth gauge moves.
+//! waiters) instead of publishing. Chain state in the snapshot stays
+//! frozen; only the depth gauge moves.
 //!
 //! The snapshot is also where committed history *lives*: the node keeps
 //! no block or receipt list of its own. Sealing moves each block and its
-//! receipts into the publisher's working snapshot once (behind `Arc`s,
-//! so every published clone shares them), and the node's own readers go
-//! through that same copy.
+//! receipts into the publisher's working snapshot once, and the node's
+//! own readers go through that same copy.
 
 use crate::node::ChainConfig;
+use crate::persistent::{PMap, PVec};
 use crate::state::Account;
 use crate::tx::{Block, Receipt, Transaction};
 use lsc_evm::{
     gas, AnalyzedCode, BlockEnv, CallResult, Config, Evm, Log, Message, SnapshotHost, StateView,
     TraceStep,
 };
-use lsc_primitives::{keccak256, Address, FxHashMap, H256, U256};
+use lsc_primitives::{keccak256, Address, H256, U256};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -138,25 +152,26 @@ pub struct LogPos {
     pub ordinal: u32,
 }
 
-/// Inverted index over the chain's logs: per-block flat lists (shared by
-/// `Arc`), per-block blooms, and per-address / per-topic0 posting lists.
-/// Appends are copy-on-write per key, so cloning the index into a new
-/// snapshot is pointer copies only.
+/// Inverted index over the chain's logs: per-block flat lists, per-block
+/// blooms, and per-address / per-topic0 posting lists. All four tables
+/// are persistent (see the module docs), posting lists included, so an
+/// append copies a few nodes of each touched list and a clone of the
+/// index is four refcount bumps.
 #[derive(Clone, Default)]
 pub struct LogIndex {
     /// Logs of block `n`, flattened in emission order.
-    per_block: Vec<Arc<Vec<Log>>>,
+    per_block: PVec<Arc<Vec<Log>>>,
     /// Bloom over addresses + topic-0s of block `n`.
-    blooms: Vec<BlockBloom>,
-    by_address: FxHashMap<Address, Arc<Vec<LogPos>>>,
-    by_topic0: FxHashMap<H256, Arc<Vec<LogPos>>>,
+    blooms: PVec<BlockBloom>,
+    by_address: PMap<Address, PVec<LogPos>>,
+    by_topic0: PMap<H256, PVec<LogPos>>,
 }
 
 impl LogIndex {
     /// Index one newly sealed block. A receipt missing from the map is
     /// skipped — the same (historically silent) semantics as the
     /// reference scan, now shared by construction.
-    fn append_block(&mut self, block: &Block, receipts: &FxHashMap<H256, Arc<Receipt>>) {
+    fn append_block(&mut self, block: &Block, receipts: &PMap<H256, Arc<Receipt>>) {
         debug_assert_eq!(self.per_block.len() as u64, block.number);
         let mut logs = Vec::new();
         for tx_hash in &block.tx_hashes {
@@ -172,10 +187,14 @@ impl LogIndex {
                 ordinal: ordinal as u32,
             };
             bloom.insert(&log.address.0);
-            Arc::make_mut(self.by_address.entry(log.address).or_default()).push(pos);
+            self.by_address
+                .get_or_insert_with(log.address, PVec::new)
+                .push(pos);
             if let Some(topic0) = log.topics.first() {
                 bloom.insert(&topic0.0);
-                Arc::make_mut(self.by_topic0.entry(*topic0).or_default()).push(pos);
+                self.by_topic0
+                    .get_or_insert_with(*topic0, PVec::new)
+                    .push(pos);
             }
         }
         self.per_block.push(Arc::new(logs));
@@ -188,7 +207,7 @@ impl LogIndex {
     /// at most one topic-0 — so a sort restores global emission order
     /// without deduplication.
     fn union_postings<'a>(
-        lists: impl Iterator<Item = Option<&'a Arc<Vec<LogPos>>>>,
+        lists: impl Iterator<Item = Option<&'a PVec<LogPos>>>,
         from_block: u64,
         to_block: u64,
     ) -> Vec<LogPos> {
@@ -196,8 +215,8 @@ impl LogIndex {
         for postings in lists.flatten() {
             let start = postings.partition_point(|pos| pos.block < from_block);
             positions.extend(
-                postings[start..]
-                    .iter()
+                postings
+                    .iter_from(start)
                     .take_while(|pos| pos.block <= to_block)
                     .copied(),
             );
@@ -317,18 +336,20 @@ impl LogIndex {
 }
 
 /// One immutable, committed-prefix view of the whole chain. Cloning is
-/// pointer copies + refcount bumps: accounts, code blobs, analyses,
-/// blocks, receipts and posting lists are all `Arc`-shared with the
-/// previous snapshot — only what changed was re-shared by the publisher.
+/// O(1) in chain length: the four history tables and the log index are
+/// persistent collections shared with the previous snapshot node by
+/// node, and what they hold (accounts, code blobs, analyses, blocks,
+/// receipts) sits behind `Arc`s — the publisher re-shares only what a
+/// block changed.
 #[derive(Clone)]
 pub struct CommittedSnapshot {
     config: ChainConfig,
-    accounts: FxHashMap<Address, Arc<Account>>,
+    accounts: PMap<Address, Arc<Account>>,
     dev_accounts: Arc<Vec<Address>>,
-    blocks: Vec<Arc<Block>>,
+    blocks: PVec<Arc<Block>>,
     /// Block hash → height (`eth_getBlockByHash`).
-    blocks_by_hash: FxHashMap<H256, u64>,
-    receipts: FxHashMap<H256, Arc<Receipt>>,
+    blocks_by_hash: PMap<H256, u64>,
+    receipts: PMap<H256, Arc<Receipt>>,
     timestamp: u64,
     /// Live pool-depth gauge, shared between the publisher's shadow and
     /// every published clone (see the module docs) — submissions update
@@ -343,11 +364,11 @@ impl CommittedSnapshot {
     pub(crate) fn new(config: ChainConfig, dev_accounts: Vec<Address>) -> Self {
         CommittedSnapshot {
             config,
-            accounts: FxHashMap::default(),
+            accounts: PMap::new(),
             dev_accounts: Arc::new(dev_accounts),
-            blocks: Vec::new(),
-            blocks_by_hash: FxHashMap::default(),
-            receipts: FxHashMap::default(),
+            blocks: PVec::new(),
+            blocks_by_hash: PMap::new(),
+            receipts: PMap::new(),
             timestamp: 0,
             pending_count: Arc::new(AtomicUsize::new(0)),
             log_index: LogIndex::default(),
@@ -378,12 +399,14 @@ impl CommittedSnapshot {
     }
 
     /// Move one newly sealed block and its receipts (in block order)
-    /// into the history and index them. O(block).
+    /// into the history and index them. O(block · log₃₂ history).
     pub(crate) fn append_block(&mut self, block: Block, receipts: Vec<Receipt>) {
         for receipt in receipts {
             self.receipts.insert(receipt.tx_hash, Arc::new(receipt));
         }
-        self.index_block(Arc::new(block));
+        let block = Arc::new(block);
+        self.index_block(&block);
+        self.blocks.push(block);
         self.refresh_recent_hashes();
     }
 
@@ -393,11 +416,12 @@ impl CommittedSnapshot {
         if len >= self.blocks.len() {
             return;
         }
-        for block in self.blocks.drain(len..) {
+        for block in self.blocks.iter_from(len) {
             for tx_hash in &block.tx_hashes {
                 self.receipts.remove(tx_hash);
             }
         }
+        self.blocks.truncate(len);
         self.reindex();
     }
 
@@ -411,41 +435,41 @@ impl CommittedSnapshot {
         self.reindex();
     }
 
-    /// Append `block` with its hash lookup and log-index entries (its
-    /// receipts are already in the map).
-    fn index_block(&mut self, block: Arc<Block>) {
-        self.log_index.append_block(&block, &self.receipts);
+    /// Enter `block` in the hash lookup and the log index (its receipts
+    /// are already in the map).
+    fn index_block(&mut self, block: &Block) {
+        self.log_index.append_block(block, &self.receipts);
         self.blocks_by_hash.insert(block.hash, block.number);
-        self.blocks.push(block);
     }
 
     fn refresh_recent_hashes(&mut self) {
+        let oldest = self.blocks.len().saturating_sub(256);
         self.recent_hashes = self
             .blocks
-            .iter()
-            .rev()
-            .take(256)
+            .iter_from(oldest)
             .map(|b| (b.number, b.hash))
             .collect();
+        self.recent_hashes.reverse();
     }
 
     /// Rebuild every derived index from `blocks` + `receipts`.
     fn reindex(&mut self) {
-        self.blocks_by_hash.clear();
+        self.blocks_by_hash = PMap::new();
         self.log_index = LogIndex::default();
-        for block in std::mem::take(&mut self.blocks) {
+        let blocks = self.blocks.clone();
+        for block in blocks.iter() {
             self.index_block(block);
         }
         self.refresh_recent_hashes();
     }
 
-    /// Every block, genesis first (snapshot-image export).
-    pub(crate) fn blocks(&self) -> &[Arc<Block>] {
+    /// Every block, genesis first.
+    pub(crate) fn blocks(&self) -> &PVec<Arc<Block>> {
         &self.blocks
     }
 
-    /// Every receipt by transaction hash (snapshot-image export).
-    pub(crate) fn receipts(&self) -> &FxHashMap<H256, Arc<Receipt>> {
+    /// Every receipt by transaction hash.
+    pub(crate) fn receipts(&self) -> &PMap<H256, Arc<Receipt>> {
         &self.receipts
     }
 
@@ -960,7 +984,7 @@ mod tests {
         let t1 = H256::keccak(b"T1()");
         let t2 = H256::keccak(b"T2()");
         let mut index = LogIndex::default();
-        let mut receipts: FxHashMap<H256, Arc<Receipt>> = FxHashMap::default();
+        let mut receipts: PMap<H256, Arc<Receipt>> = PMap::new();
         // Block 0: genesis, no txs.
         let genesis = Block {
             number: 0,

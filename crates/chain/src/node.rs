@@ -355,7 +355,7 @@ impl LocalNode {
     /// then swap the published `Arc`. Suppressed during WAL replay
     /// ([`LocalNode::recover`] republishes once at the end instead of
     /// once per replayed record).
-    fn publish(&mut self) {
+    pub(crate) fn publish(&mut self) {
         if self.replaying {
             return;
         }
@@ -454,7 +454,7 @@ impl LocalNode {
         filter: &LogFilter,
     ) -> Vec<(u64, lsc_evm::Log)> {
         let mut out = Vec::new();
-        for block in self.shadow.blocks() {
+        for block in self.shadow.blocks().iter() {
             if block.number < from_block || block.number > to_block {
                 continue;
             }
@@ -508,18 +508,9 @@ impl LocalNode {
         if dirty.is_empty() {
             return self.state_trie.root();
         }
-        let root = self
-            .state_trie
+        self.state_trie
             .apply(&mut self.state_store, &self.state, &dirty)
-            .expect("state trie update over committed state");
-        // Superseded intermediate nodes pile up in the store's memory
-        // overlay; drop them once they outweigh the live set.
-        if self.state_store.mem_len() > self.state_store.gc_watermark() {
-            if let Ok(live) = self.state_trie.live_nodes(&mut self.state_store) {
-                self.state_store.gc(&live);
-            }
-        }
-        root
+            .expect("state trie update over committed state")
     }
 
     /// The authenticated state root over the committed world state.
@@ -589,10 +580,19 @@ impl LocalNode {
 
     /// Install an account wholesale (state snapshot import).
     pub fn restore_account_state(&mut self, address: Address, account: crate::state::Account) {
-        self.state.restore_account(address, account);
+        self.restore_accounts(vec![(address, account)]);
+        self.publish();
+    }
+
+    /// Install accounts wholesale *without* publishing: an import applies
+    /// its whole account set, then publishes once — readers never see
+    /// imported accounts over the history they replace.
+    pub(crate) fn restore_accounts(&mut self, accounts: Vec<(Address, crate::state::Account)>) {
+        for (address, account) in accounts {
+            self.state.restore_account(address, account);
+        }
         self.state.commit();
         self.state_epoch += 1;
-        self.publish();
     }
 
     /// Credit an account out of thin air (dev faucet). Panics on a

@@ -208,9 +208,8 @@ impl LocalNode {
         }
         let accounts = accounts_from_json(accounts)?;
         let imported = accounts.len();
-        for (address, account) in accounts {
-            self.restore_account_state(address, account);
-        }
+        self.restore_accounts(accounts);
+        self.publish();
         Ok(imported)
     }
 
@@ -294,11 +293,9 @@ impl LocalNode {
             })
             .collect::<Result<Vec<String>, _>>()?;
 
-        // Everything validated — apply.
+        // Everything validated — apply, and publish once at the end.
         let imported = accounts.len();
-        for (address, account) in accounts {
-            self.restore_account_state(address, account);
-        }
+        self.restore_accounts(accounts);
         // Remember the image's trie root (when present): recovery uses it
         // to decide whether the on-disk page store can be adopted as-is.
         self.set_adoptable_root(

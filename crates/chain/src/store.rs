@@ -23,11 +23,12 @@
 use crate::state::{TrieDirt, WorldState};
 use crate::trie::{
     account_key, decode_account, encode_account, encode_slot_value, storage_key, AccountData,
-    NodeStore, Trie, TrieError,
+    NodeStore, Trie, TrieError, BRANCH_TAG,
 };
 use crate::wal::{self, Faults, WalError, WriteCheck};
 use lsc_abi::json::{parse, JsonValue};
 use lsc_primitives::{Address, FxHashMap, H256, U256};
+use std::collections::hash_map::Entry;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -406,28 +407,72 @@ impl PagedFile {
 
 // ---- the store -------------------------------------------------------
 
-/// Node store for the state trie: an unbounded in-memory overlay of
-/// nodes created since the last persist, over an optional paged disk
-/// file. In-memory nodes move to pages at persist (compaction) time;
+/// A node of the in-memory overlay and the number of trie positions
+/// holding it.
+struct OverlayNode {
+    bytes: Arc<Vec<u8>>,
+    refs: u32,
+}
+
+/// The in-memory overlay: nodes by hash, in 256 tables picked by the
+/// hash's first byte. One table would do but for how a hash table
+/// grows — by rehashing all of itself inside a single insert, which at
+/// 100k nodes is an 8 ms stall in whichever block trips it. Hashes are
+/// uniform, so the shards fill evenly but not in step: each moves 1/256
+/// of the nodes when it grows, and they get there in different blocks.
+struct Overlay(Vec<FxHashMap<H256, OverlayNode>>);
+
+impl Overlay {
+    fn new() -> Overlay {
+        Overlay((0..=u8::MAX).map(|_| FxHashMap::default()).collect())
+    }
+
+    fn shard_mut(&mut self, hash: &H256) -> &mut FxHashMap<H256, OverlayNode> {
+        &mut self.0[usize::from(hash.0[0])]
+    }
+
+    fn get(&self, hash: &H256) -> Option<&OverlayNode> {
+        self.0[usize::from(hash.0[0])].get(hash)
+    }
+
+    fn hashes(&self) -> impl Iterator<Item = &H256> {
+        self.0.iter().flat_map(FxHashMap::keys)
+    }
+
+    fn clear(&mut self) {
+        self.0.iter_mut().for_each(FxHashMap::clear);
+    }
+}
+
+/// Node store for the state trie: an in-memory overlay of the nodes
+/// created since the last persist, over an optional paged disk file.
+/// In-memory nodes move to pages at persist (compaction) time;
 /// afterwards reads are served through the page cache, keeping resident
 /// memory at the cache budget.
+///
+/// The overlay holds exactly the live nodes that are not in pages. Nodes
+/// are content-addressed *across* tries — the storage leaf holding
+/// `landlord` is byte-identical in every agreement's trie — so a hash a
+/// trie stops using may still be in use elsewhere, and the overlay keeps
+/// a reference count per node: [`NodeStore::insert_node`] counts one
+/// *position* (bytes already present gain a reference),
+/// [`NodeStore::release_node`] gives one back, and the node goes when
+/// the last is gone. A block thus frees what it supersedes as it goes,
+/// and no walk over all of state is ever needed to find the garbage.
+/// Nodes in pages are not counted; vacuum owns those.
 pub struct StateStore {
-    mem: FxHashMap<H256, Arc<Vec<u8>>>,
+    mem: Overlay,
     disk: Option<PagedFile>,
     persisted: Option<(H256, u64)>,
-    /// In-memory node count above which the caller should GC dead
-    /// nodes (see [`StateStore::gc`]).
-    gc_watermark: usize,
 }
 
 impl StateStore {
     /// A purely in-memory store (dev nodes, tests).
     pub fn in_memory() -> StateStore {
         StateStore {
-            mem: FxHashMap::default(),
+            mem: Overlay::new(),
             disk: None,
             persisted: None,
-            gc_watermark: 1 << 14,
         }
     }
 
@@ -437,10 +482,9 @@ impl StateStore {
         let disk = PagedFile::open(dir.join(PAGES_FILE), cache_bytes, faults)?;
         let persisted = read_root_file(&dir.join(ROOT_FILE));
         Ok(StateStore {
-            mem: FxHashMap::default(),
+            mem: Overlay::new(),
             disk: Some(disk),
             persisted,
-            gc_watermark: 1 << 14,
         })
     }
 
@@ -454,23 +498,52 @@ impl StateStore {
         self.persisted
     }
 
-    /// Number of nodes held in the in-memory overlay.
-    pub fn mem_len(&self) -> usize {
-        self.mem.len()
+    /// Release every position of the subtree rooted at `root` — a
+    /// storage trie whose account is gone or rebuilt. A node in pages
+    /// ends the descent: what a paged node reaches was persisted with it.
+    fn release_subtree(&mut self, root: H256) {
+        let mut stack = vec![root];
+        while let Some(hash) = stack.pop() {
+            let Some(node) = self.mem.get(&hash) else {
+                continue;
+            };
+            if let [BRANCH_TAG, _, _, children @ ..] = &node.bytes[..] {
+                stack.extend(children.chunks_exact(32).filter_map(H256::from_slice));
+            }
+            self.release_node(hash);
+        }
     }
 
-    /// Current GC watermark (see [`StateStore::gc`]).
-    pub fn gc_watermark(&self) -> usize {
-        self.gc_watermark
-    }
-
-    /// Drop in-memory nodes not in `live` — dead intermediate hashes
-    /// from superseded trie paths. Does no I/O and never touches disk
-    /// pages (vacuum handles those); safe at any point.
-    pub fn gc(&mut self, live: &[H256]) {
-        let keep: std::collections::HashSet<&H256> = live.iter().collect();
-        self.mem.retain(|hash, _| keep.contains(hash));
-        self.gc_watermark = (self.mem.len() * 4).max(1 << 14);
+    /// Is the overlay exactly what `live` (every position reachable from
+    /// the current roots, as [`StateTrie::live_nodes`] lists them) says it
+    /// should be? Each live node is in pages or in the overlay, never
+    /// both (nothing freed early), and each overlay node is referenced
+    /// once per live position (nothing leaked). The error names the first
+    /// node that is not.
+    pub fn check_overlay(&self, live: &[H256]) -> Result<(), String> {
+        let mut positions: FxHashMap<H256, u32> = FxHashMap::default();
+        for hash in live {
+            *positions.entry(*hash).or_default() += 1;
+        }
+        for (hash, count) in &positions {
+            let paged = self.disk.as_ref().is_some_and(|d| d.contains(*hash));
+            match self.mem.get(hash) {
+                None if paged => {}
+                None => return Err(format!("live node {hash} is nowhere")),
+                Some(_) if paged => return Err(format!("node {hash} is in pages and overlay")),
+                Some(node) if node.refs != *count => {
+                    return Err(format!(
+                        "node {hash} holds {} references for {count} positions",
+                        node.refs
+                    ));
+                }
+                Some(_) => {}
+            }
+        }
+        match self.mem.hashes().find(|hash| !positions.contains_key(hash)) {
+            Some(hash) => Err(format!("dead node {hash} is still in the overlay")),
+            None => Ok(()),
+        }
     }
 
     /// Persist `live` (the exact reachable node set, deterministic
@@ -488,13 +561,12 @@ impl StateStore {
             if disk.contains(*hash) {
                 continue;
             }
-            let Some(bytes) = self.mem.get(hash) else {
+            let Some(node) = self.mem.get(hash) else {
                 return Err(WalError::Corrupt(format!(
                     "live trie node {hash} in neither memory nor pages"
                 )));
             };
-            let bytes = Arc::clone(bytes);
-            disk.append(*hash, &bytes)?;
+            disk.append(*hash, &node.bytes)?;
         }
         disk.flush()?;
         let root_path = disk.path.with_file_name(ROOT_FILE);
@@ -502,7 +574,6 @@ impl StateStore {
         wal::write_durable(&root_path, root_file_json(root, block).as_bytes(), &faults)?;
         self.persisted = Some((root, block));
         self.mem.clear();
-        self.gc_watermark = 1 << 14;
         // Reclaim dead pages once they outweigh the live data.
         let disk = self.disk.as_mut().expect("disk-backed");
         let live_bytes: u64 = live
@@ -520,19 +591,32 @@ impl StateStore {
 
 impl NodeStore for StateStore {
     fn node(&mut self, hash: H256) -> Option<Arc<Vec<u8>>> {
-        if let Some(bytes) = self.mem.get(&hash) {
-            return Some(Arc::clone(bytes));
+        if let Some(node) = self.mem.get(&hash) {
+            return Some(Arc::clone(&node.bytes));
         }
         self.disk.as_mut()?.get(hash)
     }
 
     fn insert_node(&mut self, bytes: Vec<u8>) -> H256 {
         let hash = H256::keccak(&bytes);
-        if self.mem.contains_key(&hash) || self.disk.as_ref().is_some_and(|d| d.contains(hash)) {
-            return hash;
+        if let Some(node) = self.mem.shard_mut(&hash).get_mut(&hash) {
+            node.refs += 1;
+        } else if !self.disk.as_ref().is_some_and(|d| d.contains(hash)) {
+            let bytes = Arc::new(bytes);
+            self.mem
+                .shard_mut(&hash)
+                .insert(hash, OverlayNode { bytes, refs: 1 });
         }
-        self.mem.insert(hash, Arc::new(bytes));
         hash
+    }
+
+    fn release_node(&mut self, hash: H256) {
+        if let Entry::Occupied(mut node) = self.mem.shard_mut(&hash).entry(hash) {
+            node.get_mut().refs -= 1;
+            if node.get().refs == 0 {
+                node.remove();
+            }
+        }
     }
 }
 
@@ -633,23 +717,26 @@ impl StateTrie {
         let mut addresses: Vec<Address> = dirty.keys().copied().collect();
         addresses.sort_by_key(|a| a.0);
         for address in addresses {
+            let mut storage_trie = self.storage_trie(store, address)?;
             let Some(account) = state.account(address) else {
+                // The account is gone, and its storage trie with it.
                 self.accounts.remove(store, account_key(address))?;
                 self.storage.remove(&address);
+                store.release_subtree(storage_trie.root());
                 continue;
-            };
-            let mut storage_trie = match &dirty[&address] {
-                None => Trie::empty(),
-                Some(_) => self.storage_trie(store, address)?,
             };
             match &dirty[&address] {
                 None => {
+                    // Build the replacement before releasing what it
+                    // replaces, so nodes both share are never freed.
+                    let replaced = std::mem::replace(&mut storage_trie, Trie::empty());
                     let mut slots: Vec<(U256, U256)> =
                         account.storage.iter().map(|(k, v)| (*k, *v)).collect();
                     slots.sort_by_key(|(k, _)| k.to_be_bytes());
                     for (slot, value) in slots {
                         storage_trie.insert(store, storage_key(slot), &encode_slot_value(value))?;
                     }
+                    store.release_subtree(replaced.root());
                 }
                 Some(touched) => {
                     let mut touched: Vec<U256> = touched.iter().copied().collect();
@@ -685,11 +772,14 @@ impl StateTrie {
 
     /// Rebuild the whole trie from a world state — recovery's fallback
     /// path. The trie is canonical, so this lands on the bit-identical
-    /// root an incremental history of the same state produced.
+    /// root an incremental history of the same state produced. The
+    /// store serves one state trie: whatever the overlay held for an
+    /// earlier one is dropped first.
     pub fn rebuild_from(
         store: &mut StateStore,
         state: &WorldState,
     ) -> Result<StateTrie, TrieError> {
+        store.mem.clear();
         let mut trie = StateTrie::new();
         let mut dirty: FxHashMap<Address, TrieDirt> = FxHashMap::default();
         for (address, _) in state.iter_accounts() {
@@ -888,7 +978,7 @@ mod tests {
             root = trie.root();
             let live = trie.live_nodes(&mut store).unwrap();
             store.persist(root, 1, &live).unwrap();
-            assert_eq!(store.mem_len(), 0, "overlay cleared after persist");
+            assert_eq!(store.mem.hashes().count(), 0, "overlay cleared");
         }
         let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
         assert_eq!(store.persisted_root(), Some((root, 1)));
@@ -1010,7 +1100,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_drops_only_dead_overlay_nodes() {
+    fn superseded_overlay_nodes_are_released_as_they_go() {
         let mut store = StateStore::in_memory();
         let mut state = WorldState::new();
         let mut trie = StateTrie::new();
@@ -1020,12 +1110,11 @@ mod tests {
             state.commit();
             let dirt = state.take_trie_dirty();
             trie.apply(&mut store, &state, &dirt).unwrap();
+            // One account leaf and one storage leaf, whatever the round.
+            assert_eq!(store.mem.hashes().count(), 2, "round {round}");
         }
-        let before = store.mem_len();
         let live = trie.live_nodes(&mut store).unwrap();
-        store.gc(&live);
-        assert!(store.mem_len() < before, "dead versions dropped");
-        assert_eq!(store.mem_len(), live.len());
+        store.check_overlay(&live).unwrap();
         // Proofs still work over the retained set.
         let proof = trie.prove_account(&mut store, a).unwrap();
         assert!(verify_proof(trie.root(), account_key(a), &proof)

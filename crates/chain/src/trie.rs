@@ -40,9 +40,14 @@ use std::sync::Arc;
 pub trait NodeStore {
     /// Fetch a node's encoding by hash, `None` if absent.
     fn node(&mut self, hash: H256) -> Option<Arc<Vec<u8>>>;
-    /// Insert an encoding, returning its content hash. Inserting the
-    /// same bytes twice is idempotent.
+    /// Insert an encoding, returning its content hash. Called once per
+    /// *position* a trie creates: the same bytes can sit at many positions
+    /// (identical leaves in different tries), and a store that frees
+    /// nodes counts them.
     fn insert_node(&mut self, bytes: Vec<u8>) -> H256;
+    /// One position holding `hash` is gone — the counterpart of
+    /// [`NodeStore::insert_node`]. Stores that never free ignore it.
+    fn release_node(&mut self, _hash: H256) {}
 }
 
 /// Why a trie operation failed.
@@ -98,7 +103,7 @@ impl core::fmt::Display for ProofError {
 impl std::error::Error for ProofError {}
 
 const LEAF_TAG: u8 = 0x00;
-const BRANCH_TAG: u8 = 0x01;
+pub(crate) const BRANCH_TAG: u8 = 0x01;
 
 /// A parsed node.
 enum Node {
@@ -155,6 +160,28 @@ fn first_diff_bit(a: &H256, b: &H256) -> u16 {
     unreachable!("keys are distinct")
 }
 
+/// One branch on the way down to a key: the node's own hash (what an
+/// update that re-encodes it gives back to the store), its fields, and
+/// the side taken.
+struct Step {
+    hash: H256,
+    bit: u16,
+    left: H256,
+    right: H256,
+    went_right: bool,
+}
+
+impl Step {
+    /// This branch with the taken side replaced by `child`.
+    fn with_child(&self, child: H256) -> Vec<u8> {
+        if self.went_right {
+            encode_branch(self.bit, self.left, child)
+        } else {
+            encode_branch(self.bit, child, self.right)
+        }
+    }
+}
+
 /// A handle to one authenticated map: just the root hash; all nodes
 /// live in the [`NodeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,6 +233,48 @@ impl Trie {
         }
     }
 
+    /// Walk from the root to the leaf `key` leads to: the branches
+    /// passed, the leaf's hash and the key it holds. The trie must not
+    /// be empty.
+    fn descend(
+        &self,
+        store: &mut impl NodeStore,
+        key: &H256,
+    ) -> Result<(Vec<Step>, H256, H256), TrieError> {
+        let mut path = Vec::new();
+        let mut cursor = self.root;
+        loop {
+            match Trie::load(store, cursor)? {
+                Node::Leaf { key: terminal, .. } => return Ok((path, cursor, terminal)),
+                Node::Branch { bit, left, right } => {
+                    let went_right = key_bit(key, bit);
+                    path.push(Step {
+                        hash: cursor,
+                        bit,
+                        left,
+                        right,
+                        went_right,
+                    });
+                    cursor = if went_right { right } else { left };
+                }
+            }
+        }
+    }
+
+    /// Re-encode `path` bottom-up over the new `child`, make the result
+    /// the root, and only then release the nodes it replaces (so a node
+    /// that re-encodes to itself is never freed in between).
+    fn relink(&mut self, store: &mut impl NodeStore, path: &[Step], mut child: H256) -> H256 {
+        for step in path.iter().rev() {
+            child = store.insert_node(step.with_child(child));
+        }
+        for step in path {
+            store.release_node(step.hash);
+        }
+        self.root = child;
+        child
+    }
+
     /// Bind `key` to `value`, replacing any previous binding. Returns
     /// the new root.
     pub fn insert(
@@ -214,61 +283,35 @@ impl Trie {
         key: H256,
         value: &[u8],
     ) -> Result<H256, TrieError> {
-        let leaf_hash = store.insert_node(encode_leaf(key, value));
         if self.root.is_zero() {
-            self.root = leaf_hash;
+            self.root = store.insert_node(encode_leaf(key, value));
             return Ok(self.root);
         }
-        // Walk to the terminal leaf, recording the branch path.
-        let mut path: Vec<(u16, H256, H256, bool)> = Vec::new(); // (bit, left, right, went_right)
-        let mut cursor = self.root;
-        let terminal = loop {
-            match Trie::load(store, cursor)? {
-                Node::Leaf { key: k, .. } => break k,
-                Node::Branch { bit, left, right } => {
-                    let right_side = key_bit(&key, bit);
-                    path.push((bit, left, right, right_side));
-                    cursor = if right_side { right } else { left };
-                }
-            }
-        };
-        let mut child = if terminal == key {
+        let (mut path, terminal_hash, terminal) = self.descend(store, &key)?;
+        let leaf_hash = store.insert_node(encode_leaf(key, value));
+        if terminal == key {
             // Replace in place: rebuild hashes up the recorded path.
-            leaf_hash
-        } else {
-            // Split: a new branch at the first differing bit, inserted
-            // at the shallowest path position with a larger crit-bit.
-            let diff = first_diff_bit(&terminal, &key);
-            let split_at = path.iter().position(|(bit, ..)| *bit > diff);
-            // Hash of the subtree displaced by the new branch: the whole
-            // subtree rooted at `split_at` (every key under it agrees
-            // with the terminal leaf on bit `diff`, since all its
-            // crit-bits exceed `diff`), or the terminal leaf itself.
-            let displaced = match split_at {
-                Some(i) => {
-                    let (bit, left, right, _) = path[i];
-                    store.insert_node(encode_branch(bit, left, right))
-                }
-                None => cursor,
-            };
-            path.truncate(split_at.unwrap_or(path.len()));
-            let (l, r) = if key_bit(&key, diff) {
-                (displaced, leaf_hash)
-            } else {
-                (leaf_hash, displaced)
-            };
-            store.insert_node(encode_branch(diff, l, r))
-        };
-        for (bit, left, right, went_right) in path.into_iter().rev() {
-            let (l, r) = if went_right {
-                (left, child)
-            } else {
-                (child, right)
-            };
-            child = store.insert_node(encode_branch(bit, l, r));
+            let root = self.relink(store, &path, leaf_hash);
+            store.release_node(terminal_hash);
+            return Ok(root);
         }
-        self.root = child;
-        Ok(self.root)
+        // Split: a new branch at the first differing bit, inserted at
+        // the shallowest path position with a larger crit-bit. What it
+        // displaces — the whole subtree rooted there (every key under it
+        // agrees with the terminal leaf on bit `diff`, since all its
+        // crit-bits exceed `diff`), or the terminal leaf itself — moves
+        // under the new branch untouched.
+        let diff = first_diff_bit(&terminal, &key);
+        let split_at = path.iter().position(|step| step.bit > diff);
+        let displaced = split_at.map_or(terminal_hash, |i| path[i].hash);
+        path.truncate(split_at.unwrap_or(path.len()));
+        let (l, r) = if key_bit(&key, diff) {
+            (displaced, leaf_hash)
+        } else {
+            (leaf_hash, displaced)
+        };
+        let branch = store.insert_node(encode_branch(diff, l, r));
+        Ok(self.relink(store, &path, branch))
     }
 
     /// Remove `key`'s binding, if any. Returns the new root.
@@ -276,37 +319,29 @@ impl Trie {
         if self.root.is_zero() {
             return Ok(self.root);
         }
-        let mut path: Vec<(u16, H256, H256, bool)> = Vec::new();
-        let mut cursor = self.root;
-        let found = loop {
-            match Trie::load(store, cursor)? {
-                Node::Leaf { key: k, .. } => break k == key,
-                Node::Branch { bit, left, right } => {
-                    let right_side = key_bit(&key, bit);
-                    path.push((bit, left, right, right_side));
-                    cursor = if right_side { right } else { left };
-                }
-            }
-        };
-        if !found {
+        let (mut path, leaf_hash, terminal) = self.descend(store, &key)?;
+        if terminal != key {
             return Ok(self.root);
         }
         // The parent branch collapses to the sibling subtree.
-        let Some((_, left, right, went_right)) = path.pop() else {
-            self.root = H256::ZERO; // removing the only leaf
-            return Ok(self.root);
+        let root = match path.pop() {
+            Some(parent) => {
+                let sibling = if parent.went_right {
+                    parent.left
+                } else {
+                    parent.right
+                };
+                let root = self.relink(store, &path, sibling);
+                store.release_node(parent.hash);
+                root
+            }
+            None => {
+                self.root = H256::ZERO; // removing the only leaf
+                self.root
+            }
         };
-        let mut child = if went_right { left } else { right };
-        for (bit, left, right, went_right) in path.into_iter().rev() {
-            let (l, r) = if went_right {
-                (left, child)
-            } else {
-                (child, right)
-            };
-            child = store.insert_node(encode_branch(bit, l, r));
-        }
-        self.root = child;
-        Ok(self.root)
+        store.release_node(leaf_hash);
+        Ok(root)
     }
 
     /// Merkle proof for `key`: the node encodings along the lookup path,

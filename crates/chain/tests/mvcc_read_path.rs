@@ -4,12 +4,13 @@
 //! snapshot/revert, and failing calls.
 
 use lsc_chain::wal::Faults;
-use lsc_chain::{ChainConfig, LocalNode, LogFilter, ReadHandle, Transaction};
+use lsc_chain::{ChainConfig, CommittedSnapshot, LocalNode, LogFilter, ReadHandle, Transaction};
 use lsc_evm::asm::Asm;
 use lsc_evm::opcode::op;
 use lsc_evm::CallResult;
 use lsc_primitives::{ether, Address, H256, U256};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Build init code that deploys the given runtime bytecode.
@@ -403,6 +404,121 @@ fn handle_matches_node_after_revert() {
     node.send_transaction(Transaction::call(a, emitter, word(2)).with_gas(200_000))
         .unwrap();
     assert_handle_matches_node(&node, &handle, &interesting);
+}
+
+/// Everything a snapshot answers, written out: two renderings are equal
+/// exactly when every read is. Indexed log queries are held to the scan
+/// on the way.
+fn render_snapshot(snap: &CommittedSnapshot, interesting: &[Address], topic: H256) -> String {
+    let mut out = String::new();
+    let tip = snap.block_number();
+    writeln!(out, "tip {tip} at {}", snap.timestamp()).unwrap();
+    for number in 0..=tip + 2 {
+        let block = snap.block(number);
+        writeln!(out, "{block:?}").unwrap();
+        let Some(block) = block else { continue };
+        let by_hash = snap.block_by_hash(block.hash).expect("own hash resolves");
+        assert_eq!(by_hash.number, number);
+        for tx_hash in &block.tx_hashes {
+            writeln!(out, "{:?}", snap.receipt(*tx_hash).expect("own receipt")).unwrap();
+        }
+    }
+    for &address in interesting {
+        let slots: Vec<U256> = (0..4)
+            .map(|key| snap.storage_at(address, U256::from_u64(key)))
+            .collect();
+        writeln!(
+            out,
+            "{address}: {} wei, nonce {}, {} code bytes, slots {slots:?}",
+            snap.balance(address),
+            snap.nonce(address),
+            snap.code(address).len(),
+        )
+        .unwrap();
+    }
+    for address in std::iter::once(None).chain(interesting.iter().copied().map(Some)) {
+        for topic0 in [None, Some(topic)] {
+            let indexed = snap.logs(0, u64::MAX, address, topic0);
+            assert_eq!(indexed, snap.logs_scan(0, u64::MAX, address, topic0));
+            writeln!(out, "{indexed:?}").unwrap();
+        }
+    }
+    out
+}
+
+/// Snapshots share structure with the publisher's working copy, so the
+/// question is whether later writes can reach into one a reader still
+/// holds: 300 more blocks in all three mining modes, a revert to below
+/// the held height, and a different chain regrown past it must leave
+/// every read of the held snapshot as it was.
+#[test]
+fn held_snapshot_is_frozen_while_the_chain_moves_on() {
+    let config = ChainConfig {
+        // Force the parallel executor even on a single-core box.
+        mining_workers: Some(4),
+        ..ChainConfig::default()
+    };
+    let mut node = LocalNode::with_config(config, 3);
+    let [a, b] = [node.accounts()[0], node.accounts()[1]];
+    let emitter = node
+        .send_transaction(Transaction::deploy(a, init_code_for(&emitter_runtime(77))))
+        .unwrap()
+        .contract_address
+        .unwrap();
+    let emit = |from: Address, n: u64| Transaction::call(from, emitter, word(n)).with_gas(200_000);
+    let below = node.snapshot();
+    for n in 0..40 {
+        node.send_transaction(emit(a, n)).unwrap();
+    }
+
+    let held = node.published_snapshot();
+    let height = held.block_number();
+    let interesting = [a, b, emitter, node.config().coinbase];
+    let topic = H256::from_u256(U256::from_u64(77));
+    let before = render_snapshot(&held, &interesting, topic);
+
+    for round in 0..100 {
+        node.send_transaction(emit(b, round)).unwrap();
+        for from in [a, b] {
+            node.submit_transaction(emit(from, 1000 + round));
+        }
+        assert!(node.mine_block().1.is_empty(), "parallel");
+        for from in [a, b] {
+            node.submit_transaction(emit(from, 2000 + round));
+        }
+        assert!(node.mine_block_sequential().1.is_empty(), "sequential");
+    }
+    assert_eq!(node.block_number(), height + 300);
+    assert_eq!(
+        render_snapshot(&held, &interesting, topic),
+        before,
+        "while the chain grew past it"
+    );
+
+    assert!(node.revert_to_snapshot(below));
+    assert!(node.block_number() < height);
+    assert_eq!(
+        render_snapshot(&held, &interesting, topic),
+        before,
+        "across a revert to below it"
+    );
+
+    for n in 0..=height {
+        node.send_transaction(emit(b, 3000 + n)).unwrap();
+    }
+    assert_ne!(
+        node.block(height).unwrap().hash,
+        held.block(height).unwrap().hash,
+        "a different chain now occupies the held heights"
+    );
+    assert_eq!(
+        render_snapshot(&held, &interesting, topic),
+        before,
+        "while a different chain regrew past it"
+    );
+    let live = node.published_snapshot();
+    assert_handle_matches_node(&node, &node.read_handle(), &interesting);
+    assert_ne!(render_snapshot(&live, &interesting, topic), before);
 }
 
 /// Deterministic two-thread interleaving: a writer steps through a fixed

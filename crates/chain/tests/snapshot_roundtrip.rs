@@ -207,3 +207,53 @@ proptest! {
         prop_assert_eq!(fresh.export_state(), pristine);
     }
 }
+
+/// An import is one committed mutation, so it is one publication: a
+/// subscriber wakes once, and no reader can catch the imported accounts
+/// over the history they do not belong to. (The sequence number counts
+/// every publication, seen or not, so this needs no racing watcher.)
+#[test]
+fn import_publishes_exactly_once() {
+    let mut source = LocalNode::new(N_ACCOUNTS);
+    apply_ops(
+        &mut source,
+        &[
+            Op::DeployStore(7, 1),
+            Op::DeployLink(0),
+            Op::Transfer(0, 1, 500),
+            Op::Faucet(1, 99),
+            Op::Warp(60),
+        ],
+    );
+    let image = source.export_state();
+
+    let mut target = LocalNode::new(N_ACCOUNTS);
+    apply_ops(&mut target, &[Op::Transfer(2, 3, 42)]);
+    let accounts: Vec<Address> = target.accounts().to_vec();
+    let handle = target.read_handle();
+    let (seq, old) = (handle.publication_seq(), handle.snapshot());
+    let old_balances: Vec<U256> = accounts.iter().map(|a| old.balance(*a)).collect();
+    assert_ne!(old.block_number(), source.block_number());
+
+    target.import_state(&image).unwrap();
+
+    assert_eq!(handle.publication_seq(), seq + 1, "publications per import");
+    // That one publication carries imported state and imported history
+    // together…
+    let new = handle.snapshot();
+    assert_eq!(new.block_number(), source.block_number());
+    assert_eq!(new.timestamp(), source.timestamp());
+    for account in &accounts {
+        assert_eq!(new.balance(*account), source.balance(*account));
+    }
+    assert_eq!(
+        new.balance(Address::from_label("grant-1")),
+        U256::from_u64(99)
+    );
+    // …and the snapshot a reader held from before still reads as before.
+    assert_eq!(old.block_number(), 1);
+    for (account, balance) in accounts.iter().zip(old_balances) {
+        assert_eq!(old.balance(*account), balance);
+    }
+    assert_eq!(old.balance(Address::from_label("grant-1")), U256::ZERO);
+}

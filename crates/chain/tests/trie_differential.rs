@@ -8,9 +8,13 @@
 //! * scratch-vs-incremental — folding per-block dirt into a live
 //!   [`StateTrie`] lands on the bit-identical root a from-scratch
 //!   rebuild of the same world state produces (this is the invariant
-//!   recovery relies on to adopt or rebuild interchangeably).
+//!   recovery relies on to adopt or rebuild interchangeably);
+//! * exact release — at every sync point the store's in-memory overlay
+//!   holds the live nodes that are not in pages, each counted once per
+//!   position, and nothing else: no node freed early, none leaked.
 
 use lsc_chain::state::TrieDirt;
+use lsc_chain::wal::Faults;
 use lsc_chain::{
     account_key, decode_account, decode_slot_value, storage_key, verify_proof, MemNodes,
     StateStore, StateTrie, Trie, WorldState,
@@ -54,8 +58,13 @@ enum StateOp {
     SetStorage(u8, u8, u64),
     SetCode(u8, u8),
     Destroy(u8),
+    /// Give the second account exactly the first one's storage: their
+    /// storage tries become one set of nodes held from two places.
+    Mirror(u8, u8),
     /// Commit the journal and fold the dirt into the live trie.
     Sync,
+    /// Sync, then move the trie to pages (a no-op on an in-memory store).
+    Persist,
 }
 
 fn state_op() -> BoxedStrategy<StateOp> {
@@ -65,13 +74,93 @@ fn state_op() -> BoxedStrategy<StateOp> {
         (0u8..6, 0u8..8, 0u64..1000).prop_map(|(a, s, v)| StateOp::SetStorage(a, s, v)),
         (0u8..6, 1u8..200).prop_map(|(a, b)| StateOp::SetCode(a, b)),
         (0u8..6).prop_map(StateOp::Destroy),
+        (0u8..6, 0u8..6).prop_map(|(a, b)| StateOp::Mirror(a, b)),
         Just(StateOp::Sync),
+        Just(StateOp::Sync),
+        Just(StateOp::Persist),
     ]
     .boxed()
 }
 
 fn addr(n: u8) -> Address {
     Address::from_label(&format!("acct-{n}"))
+}
+
+/// A fresh directory for one disk-backed case.
+fn scratch_dir() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "lsc-trie-diff-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn apply_state_op(state: &mut WorldState, op: StateOp) {
+    let slot = |s: u8| U256::from_u64(u64::from(s));
+    match op {
+        StateOp::Credit(a, v) => state.credit(addr(a), U256::from_u64(v)),
+        StateOp::SetNonce(a, n) => state.set_nonce(addr(a), n),
+        StateOp::SetStorage(a, s, v) => {
+            // Storage on a non-existent account is meaningless;
+            // make sure it exists first (as the EVM would).
+            state.create_account(addr(a));
+            state.set_storage(addr(a), slot(s), U256::from_u64(v));
+        }
+        StateOp::SetCode(a, b) => {
+            state.create_account(addr(a));
+            state.set_code(addr(a), vec![b; 4]);
+        }
+        StateOp::Destroy(a) => state.destroy_account(addr(a)),
+        StateOp::Mirror(from, to) => {
+            state.create_account(addr(to));
+            for s in 0u8..8 {
+                let value = state.storage(addr(from), slot(s));
+                state.set_storage(addr(to), slot(s), value);
+            }
+        }
+        StateOp::Sync | StateOp::Persist => {}
+    }
+    state.commit();
+}
+
+/// Fold `state`'s dirt into `trie` and hold it to both oracles: the
+/// scratch rebuild's root, and an exact overlay.
+fn sync_and_check(
+    state: &mut WorldState,
+    trie: &mut StateTrie,
+    store: &mut StateStore,
+) -> Result<(), proptest::TestCaseError> {
+    let dirt = state.take_trie_dirty();
+    let incremental = trie.apply(store, state, &dirt).unwrap();
+    let mut scratch_store = StateStore::in_memory();
+    let scratch = StateTrie::rebuild_from(&mut scratch_store, state).unwrap();
+    prop_assert_eq!(incremental, scratch.root());
+    let live = trie.live_nodes(store).unwrap();
+    prop_assert_eq!(store.check_overlay(&live), Ok(()));
+    Ok(())
+}
+
+fn run_state_ops(ops: &[StateOp], mut store: StateStore) -> Result<(), proptest::TestCaseError> {
+    let mut state = WorldState::new();
+    let mut trie = StateTrie::new();
+    for (step, op) in ops.iter().enumerate() {
+        apply_state_op(&mut state, *op);
+        if matches!(op, StateOp::Sync | StateOp::Persist) {
+            sync_and_check(&mut state, &mut trie, &mut store)?;
+        }
+        if matches!(op, StateOp::Persist) {
+            let live = trie.live_nodes(&mut store).unwrap();
+            store.persist(trie.root(), step as u64, &live).unwrap();
+            prop_assert_eq!(store.check_overlay(&live), Ok(()), "after persist");
+        }
+    }
+    // Final sync: whatever dirt remains must fold to the scratch root.
+    sync_and_check(&mut state, &mut trie, &mut store)
 }
 
 proptest! {
@@ -142,46 +231,21 @@ proptest! {
 
     /// Incremental dirt-folding and scratch rebuild agree on the root at
     /// every sync point, for arbitrary interleavings of account and
-    /// storage mutations (including destroys).
+    /// storage mutations (including destroys, re-creations within one
+    /// block and accounts with identical storage) — and the overlay is
+    /// exact at each of them, in memory and over pages, across persists.
     #[test]
     fn incremental_apply_equals_scratch_rebuild(
         ops in proptest::collection::vec(state_op(), 0..40)
     ) {
-        let mut state = WorldState::new();
-        let mut store = StateStore::in_memory();
-        let mut trie = StateTrie::new();
-        for op in ops {
-            match op {
-                StateOp::Credit(a, v) => state.credit(addr(a), U256::from_u64(v)),
-                StateOp::SetNonce(a, n) => state.set_nonce(addr(a), n),
-                StateOp::SetStorage(a, s, v) => {
-                    // Storage on a non-existent account is meaningless;
-                    // make sure it exists first (as the EVM would).
-                    state.create_account(addr(a));
-                    state.set_storage(addr(a), U256::from_u64(u64::from(s)), U256::from_u64(v));
-                }
-                StateOp::SetCode(a, b) => {
-                    state.create_account(addr(a));
-                    state.set_code(addr(a), vec![b; 4]);
-                }
-                StateOp::Destroy(a) => state.destroy_account(addr(a)),
-                StateOp::Sync => {}
-            }
-            state.commit();
-            if matches!(op, StateOp::Sync) {
-                let dirt = state.take_trie_dirty();
-                let incremental = trie.apply(&mut store, &state, &dirt).unwrap();
-                let mut scratch_store = StateStore::in_memory();
-                let scratch = StateTrie::rebuild_from(&mut scratch_store, &state).unwrap();
-                prop_assert_eq!(incremental, scratch.root());
-            }
-        }
-        // Final sync: whatever dirt remains must fold to the scratch root.
-        let dirt = state.take_trie_dirty();
-        let incremental = trie.apply(&mut store, &state, &dirt).unwrap();
-        let mut scratch_store = StateStore::in_memory();
-        let scratch = StateTrie::rebuild_from(&mut scratch_store, &state).unwrap();
-        prop_assert_eq!(incremental, scratch.root());
+        run_state_ops(&ops, StateStore::in_memory())?;
+        let dir = scratch_dir();
+        let outcome = run_state_ops(
+            &ops,
+            StateStore::open(&dir, lsc_chain::PAGE_SIZE, Faults::none()).unwrap(),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        outcome?;
     }
 
     /// The two-level proof chain (account leaf → storage root → slot
@@ -244,4 +308,43 @@ fn rebuild_ignores_pending_dirt_marks() {
     let mut s2 = StateStore::in_memory();
     let r2 = StateTrie::rebuild_from(&mut s2, &state).unwrap().root();
     assert_eq!(r1, r2);
+}
+
+/// The two cases a per-hash (rather than per-position) release gets
+/// wrong, spelled out: storage shared node for node between accounts,
+/// and an account destroyed and re-created inside one block.
+#[test]
+fn shared_and_recreated_storage_keep_the_overlay_exact() {
+    let script = [
+        StateOp::SetStorage(0, 1, 11),
+        StateOp::SetStorage(0, 2, 22),
+        StateOp::SetStorage(0, 3, 33),
+        StateOp::Mirror(0, 1),
+        StateOp::Sync,
+        // One of the twins moves on; the other must keep every node.
+        StateOp::SetStorage(0, 2, 99),
+        StateOp::Sync,
+        StateOp::Persist,
+        // Twins again, now over pages; then one is destroyed outright…
+        StateOp::Mirror(1, 0),
+        StateOp::Sync,
+        StateOp::Destroy(1),
+        StateOp::Sync,
+        // …and the other destroyed and re-created within one block,
+        // with some of its old storage and some new.
+        StateOp::Destroy(0),
+        StateOp::SetStorage(0, 1, 11),
+        StateOp::SetStorage(0, 7, 77),
+        StateOp::Credit(0, 5),
+        StateOp::Sync,
+        StateOp::Persist,
+        StateOp::Mirror(0, 2),
+        StateOp::Destroy(0),
+    ];
+    run_state_ops(&script, StateStore::in_memory()).unwrap();
+    let dir = scratch_dir();
+    let store = StateStore::open(&dir, lsc_chain::PAGE_SIZE, Faults::none()).unwrap();
+    let outcome = run_state_ops(&script, store);
+    std::fs::remove_dir_all(&dir).ok();
+    outcome.unwrap();
 }

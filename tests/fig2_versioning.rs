@@ -4,7 +4,7 @@
 //! deployed; the addresses recovered from the links drive data lookup.
 
 use legal_smart_contracts::abi::AbiValue;
-use legal_smart_contracts::chain::LocalNode;
+use legal_smart_contracts::chain::{CommittedSnapshot, LocalNode};
 use legal_smart_contracts::core::{contracts, ContractManager};
 use legal_smart_contracts::ipfs::IpfsNode;
 use legal_smart_contracts::primitives::{ether, Address, U256};
@@ -155,4 +155,69 @@ fn broken_chain_is_detected() {
     )
     .unwrap();
     assert!(manager.verify_chain(v2.address()).is_err());
+}
+
+#[test]
+fn held_snapshot_keeps_the_version_chain_of_its_height() {
+    // The evidence line is history: an auditor who took a snapshot when
+    // the agreement had three versions keeps reading exactly those links
+    // from it — `getNext`/`getPrev` executed against the held snapshot —
+    // while newer versions are linked onto the live chain.
+    let (manager, landlord) = world();
+    let base = contracts::compile_base_rental().unwrap();
+    let upload = manager.upload_artifact("base", &base).unwrap();
+    let mut addresses = vec![manager
+        .deploy(landlord, upload, &args(), U256::ZERO)
+        .unwrap()
+        .address()];
+    let add_version = |addresses: &mut Vec<Address>| {
+        let prev = *addresses.last().unwrap();
+        let next = manager
+            .deploy_version(landlord, upload, &args(), U256::ZERO, prev, &[])
+            .unwrap();
+        addresses.push(next.address());
+    };
+    // Each version's (previous, next) pointers, following `getNext` from
+    // the first version, as one snapshot answers.
+    let links_at = |snap: &CommittedSnapshot, first: Address| {
+        let mut links = Vec::new();
+        let mut cursor = first;
+        while cursor != Address::ZERO {
+            let version = manager.contract_at(cursor).unwrap();
+            let pointer = |name| version.call1_at(snap, name, &[]).unwrap().as_address();
+            let (prev, next) = (pointer("getPrev").unwrap(), pointer("getNext").unwrap());
+            links.push((prev, next));
+            cursor = next;
+        }
+        links
+    };
+
+    add_version(&mut addresses);
+    add_version(&mut addresses);
+    let audit = manager.web3().read_snapshot();
+    let as_audited = links_at(&audit, addresses[0]);
+    assert_eq!(
+        as_audited,
+        [
+            (Address::ZERO, addresses[1]),
+            (addresses[0], addresses[2]),
+            (addresses[1], Address::ZERO),
+        ]
+    );
+
+    for _ in 3..8 {
+        add_version(&mut addresses);
+    }
+    assert_eq!(links_at(&audit, addresses[0]), as_audited);
+    assert!(
+        audit.code(addresses[3]).is_empty(),
+        "v4 postdates the audit"
+    );
+    assert_eq!(
+        audit.block(audit.block_number() + 1).map(|b| b.number),
+        None
+    );
+    let live = manager.web3().read_snapshot();
+    assert_eq!(links_at(&live, addresses[0]).len(), 8);
+    assert_eq!(manager.verify_chain(addresses[0]).unwrap(), addresses);
 }
