@@ -147,11 +147,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse JSON text into a [`JsonValue`].
+/// Deepest container nesting [`parse`] accepts. The parser recurses once
+/// per open array or object, so without a bound a few kilobytes of `[`
+/// overflow a worker thread's stack and abort the whole process (a
+/// stack overflow is not a panic; nothing can catch it). JSON-RPC
+/// requests, ABI files, WAL records and snapshot images all nest far
+/// less than this.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse JSON text into a [`JsonValue`]. Input nested deeper than
+/// [`MAX_DEPTH`] containers is rejected as an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -165,6 +175,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -196,8 +208,9 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -205,6 +218,16 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a json value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -394,6 +417,22 @@ mod tests {
     fn deterministic_object_order() {
         let a = parse(r#"{"b":1,"a":2}"#).unwrap();
         assert_eq!(a.to_json(), r#"{"a":2,"b":1}"#);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("too deep"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::mempool::Mempool;
 use crate::mvcc::{self, CommittedSnapshot, LogFilter, PublishedInner, PublishedSlot, ReadHandle};
 use crate::parallel;
+use crate::snapshot::HistoryChunk;
 use crate::state::WorldState;
 use crate::store::{AccountProof, StateStore, StateTrie, StorageProof, DEFAULT_CACHE_BYTES};
 use crate::trie::TrieError;
@@ -241,6 +242,10 @@ pub struct LocalNode {
     /// Trie root recorded in the last imported snapshot image, stashed
     /// for recovery's adopt-or-rebuild decision.
     adoptable_root: Option<H256>,
+    /// The history chunk series the newest compaction image lists (empty
+    /// before the first compaction and after importing a self-contained
+    /// image); the next compaction appends to it.
+    history_chunks: Vec<HistoryChunk>,
 }
 
 struct NodeSnapshot {
@@ -327,6 +332,7 @@ impl LocalNode {
             state_store,
             compacted_from: 0,
             adoptable_root: None,
+            history_chunks: Vec::new(),
         };
         node.rebuild_published();
         node
@@ -521,12 +527,11 @@ impl LocalNode {
     }
 
     /// Canonical trie root of the committed world state, computed from
-    /// scratch against a throwaway in-memory store — snapshot export
+    /// scratch against a throwaway in-memory store — [`LocalNode::export_state`]
     /// runs through `&self`, so it cannot fold pending changes into the
     /// live trie. Canonicity makes this equal the incrementally
-    /// maintained root whenever the live trie is synced, which is what
-    /// lets recovery adopt a persisted page store whose committed root
-    /// matches an image's recorded `state_root`.
+    /// maintained root whenever the live trie is synced; compaction,
+    /// which syncs first, records the live root instead.
     pub(crate) fn canonical_state_root(&self) -> H256 {
         let mut scratch = StateStore::in_memory();
         StateTrie::rebuild_from(&mut scratch, &self.state)
@@ -654,9 +659,12 @@ impl LocalNode {
         self.snapshots.len() - 1
     }
 
-    /// Roll the chain back to a snapshot (`evm_revert`).
+    /// Roll the chain back to a snapshot (`evm_revert`). Returns `false`
+    /// for an unknown id, and always on a durable node: a revert is not
+    /// a logged intent, so a restart would replay the reverted blocks
+    /// and serve a chain other than the one acknowledged.
     pub fn revert_to_snapshot(&mut self, id: usize) -> bool {
-        if id >= self.snapshots.len() {
+        if id >= self.snapshots.len() || self.durable_log.is_some() {
             return false;
         }
         let snapshot = self.snapshots.swap_remove(id);
@@ -1365,7 +1373,7 @@ impl LocalNode {
             // Import into a throwaway candidate: a snapshot that fails
             // validation mid-way must not taint the recovered node.
             let mut candidate = LocalNode::with_config(config.clone(), n_accounts);
-            if candidate.import_state(&image).is_ok() {
+            if candidate.import_snapshot(dir, &image).is_ok() {
                 node = candidate;
                 wal_from = index;
                 break;
@@ -1410,36 +1418,41 @@ impl LocalNode {
         Ok(node)
     }
 
-    /// Compact the log: rotate to a fresh segment, durably publish a
-    /// full-image snapshot covering everything before it (tmp file +
-    /// fsync + atomic rename), then prune the shadowed segments and older
-    /// snapshots. Crash-safe at every step — until the rename lands, the
-    /// previous snapshot + full log remain the recovery source. Returns
-    /// the first segment the new snapshot does NOT cover.
+    /// Compact the log: rotate to a fresh segment, durably append a
+    /// history chunk with the blocks sealed since the last one, publish
+    /// a compaction image (state, clock, pool, chunk list) covering
+    /// everything before the new segment (each file tmp + fsync + atomic
+    /// rename; see [`crate::snapshot`]), then prune the shadowed segments,
+    /// older snapshots and unlisted chunks. Crash-safe at every step —
+    /// until the image's rename lands, the previous snapshot, its chunks
+    /// and the full log remain the recovery source. Returns the first
+    /// segment the new snapshot does NOT cover.
     pub fn compact(&mut self) -> Result<u64, WalError> {
         if let Some(reason) = &self.poisoned {
             return Err(WalError::Io(format!("node poisoned: {reason}")));
         }
-        // Fold any pending changes first, so the exported image's trie
-        // root and the persisted page store agree on one root.
-        self.sync_state_trie();
+        // Fold any pending changes first: the image records the live
+        // trie's root, which the persisted page store commits below.
+        let state_root = self.sync_state_trie();
         let Some(log) = self.durable_log.as_mut() else {
             return Err(WalError::Io("node has no write-ahead log".into()));
         };
         let wal_from = log.rotate()?;
         let dir = log.dir().to_path_buf();
         let faults = log.faults();
-        let image = self.export_image(Some(wal_from));
-        wal::write_durable(
-            &wal::snapshot_path(&dir, wal_from),
-            image.as_bytes(),
-            &faults,
-        )?;
+        self.history_chunks = self.write_compaction(&dir, wal_from, state_root, &faults)?;
         if let Some(log) = self.durable_log.as_ref() {
             log.prune_segments(wal_from)?;
         }
         for (index, path) in wal::list_snapshots(&dir)? {
             if index < wal_from {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        // Chunks the new image does not list: a superseded series, or an
+        // orphan a crash left between a chunk's and an image's rename.
+        for (index, path) in wal::list_history(&dir)? {
+            if !self.history_chunks.iter().any(|c| c.wal_from == index) {
                 let _ = std::fs::remove_file(path);
             }
         }
@@ -1598,6 +1611,20 @@ impl LocalNode {
     /// The committed history (blocks, receipts) — image export.
     pub(crate) fn history(&self) -> &CommittedSnapshot {
         &self.shadow
+    }
+
+    /// The committed world state — image export.
+    pub(crate) fn world_state(&self) -> &WorldState {
+        &self.state
+    }
+
+    /// The history chunks the newest compaction image lists.
+    pub(crate) fn history_chunks(&self) -> &[HistoryChunk] {
+        &self.history_chunks
+    }
+
+    pub(crate) fn set_history_chunks(&mut self, chunks: Vec<HistoryChunk>) {
+        self.history_chunks = chunks;
     }
 
     /// Pooled transactions in arrival order (snapshot-image export).

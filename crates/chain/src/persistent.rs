@@ -346,19 +346,6 @@ impl<K: Hash + Eq, V> PMap<K, V> {
     pub(crate) fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
     }
-
-    /// Every entry, in an order fixed by the keys' hashes.
-    pub(crate) fn iter(&self) -> MapIter<'_, K, V> {
-        MapIter {
-            nodes: vec![&self.root],
-            slots: [].iter(),
-            bucket: [].iter(),
-        }
-    }
-
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, value)| value)
-    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
@@ -495,34 +482,6 @@ impl<K: Hash + Eq + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     }
 }
 
-/// Depth-first walk over a [`PMap`]'s entries.
-pub(crate) struct MapIter<'a, K, V> {
-    /// Nodes found but not yet entered.
-    nodes: Vec<&'a MapNode<K, V>>,
-    slots: std::slice::Iter<'a, Slot<K, V>>,
-    bucket: std::slice::Iter<'a, (K, V)>,
-}
-
-impl<'a, K, V> Iterator for MapIter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some((key, value)) = self.bucket.next() {
-                return Some((key, value));
-            }
-            match self.slots.next() {
-                Some(Slot::Entry(key, value)) => return Some((key, value)),
-                Some(Slot::Child(child)) => self.nodes.push(child),
-                None => match self.nodes.pop()? {
-                    MapNode::Branch { slots, .. } => self.slots = slots.iter(),
-                    MapNode::Collision(entries) => self.bucket = entries.iter(),
-                },
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,15 +566,6 @@ mod tests {
                 prop_assert_eq!(map.get(&key(n)), model.get(&n), "get({})", n);
                 prop_assert_eq!(map.contains_key(&key(n)), model.contains_key(&n));
             }
-            prop_assert_eq!(
-                map.iter().count(),
-                model.len(),
-                "iter yields each entry once"
-            );
-            for (k, v) in map.iter() {
-                prop_assert_eq!(map.get(k), Some(v));
-            }
-            prop_assert_eq!(map.values().count(), model.len());
             Ok(())
         };
         let mut map = PMap::new();

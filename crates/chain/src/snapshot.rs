@@ -1,17 +1,48 @@
-//! State snapshots: export the world state to a JSON document (using the
-//! workspace's self-contained JSON module) and import it into a fresh
-//! node — the dev-chain equivalent of a genesis file, so a test fixture
-//! or a demo deployment can be frozen and revived.
+//! State snapshots: the node's world state as a checksummed JSON image.
+//!
+//! Two layouts share one envelope, `{"checksum": keccak(body), "<key>":
+//! body}`, and one set of field codecs.
+//!
+//! * **Self-contained image** ([`LocalNode::export_state`] /
+//!   [`LocalNode::import_state`]): one file holding the accounts (code
+//!   inline), the chain clock, the pending pool and the full history —
+//!   blocks, receipts and app events. The dev-chain equivalent of a
+//!   genesis file: a fixture or demo deployment frozen and revived.
+//! * **Compaction image** (written by [`LocalNode::compact`] as
+//!   `snapshot-<wal_from>.json`): the accounts, clock and pool, a
+//!   `codes` table that stores each distinct contract code once (accounts
+//!   reference it by code hash), and a `history` list naming the history
+//!   chunk files that hold the chain's past, in order. Each compaction
+//!   appends one chunk, `history-<wal_from>.json`, holding only the
+//!   blocks sealed since the previous chunk, their receipts and the new
+//!   app events; a chunk is written once and never rewritten. The image
+//!   lists, per chunk, its checksum, the `(number, hash)` of its last
+//!   block and the app-event count through it. Recovery loads exactly the
+//!   listed chunks, verifies each checksum and re-checks block hashes and
+//!   parent links across their concatenation. A chunk file the image does
+//!   not list (left by a crash between the chunk's and the image's rename)
+//!   is ignored, and the next compaction deletes it. When the live chain
+//!   no longer extends the last listed chunk, compaction starts a fresh
+//!   series from genesis.
+//!
+//! A compaction therefore writes O(state + blocks since the last
+//! compaction), while a restart still parses the whole history.
+//! Recovery also opens self-contained images, the format compaction
+//! wrote before history chunks existed.
 
 use crate::codec;
+use crate::mvcc::CommittedSnapshot;
 use crate::node::LocalNode;
 use crate::state::Account;
 use crate::tx::{Block, Receipt, Transaction};
+use crate::wal::{self, Faults, WalError};
 use core::fmt;
 use lsc_abi::json::{parse, JsonValue};
-use lsc_primitives::{hex, keccak256, Address, U256};
+use lsc_evm::AnalyzedCode;
+use lsc_primitives::{hex, Address, FxHashMap, H256, U256};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 /// Error importing a snapshot document.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +60,135 @@ fn bad<T>(message: impl Into<String>) -> Result<T, SnapshotError> {
     Err(SnapshotError(message.into()))
 }
 
-/// Decode one account body from either snapshot format.
-fn account_from_json(body: &JsonValue) -> Result<Account, SnapshotError> {
+/// One entry of a compaction image's `history` list: which chunk file,
+/// its checksum, and where the chain stands at its end.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HistoryChunk {
+    /// The WAL boundary of the compaction that wrote the chunk; names
+    /// the file.
+    pub(crate) wal_from: u64,
+    checksum: H256,
+    last_number: u64,
+    last_hash: H256,
+    /// App events in this chunk and all before it.
+    app_events: usize,
+}
+
+impl HistoryChunk {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("wal_from", JsonValue::Number(self.wal_from as f64)),
+            (
+                "checksum",
+                JsonValue::String(codec::h256_to_str(&self.checksum)),
+            ),
+            ("last_number", JsonValue::Number(self.last_number as f64)),
+            (
+                "last_hash",
+                JsonValue::String(codec::h256_to_str(&self.last_hash)),
+            ),
+            ("app_events", JsonValue::Number(self.app_events as f64)),
+        ])
+    }
+
+    fn from_json(doc: &JsonValue) -> Result<HistoryChunk, SnapshotError> {
+        let chunk = || -> Result<HistoryChunk, String> {
+            Ok(HistoryChunk {
+                wal_from: codec::u64_field(doc, "wal_from")?,
+                checksum: codec::h256_field(doc, "checksum")?,
+                last_number: codec::u64_field(doc, "last_number")?,
+                last_hash: codec::h256_field(doc, "last_hash")?,
+                app_events: codec::u64_field(doc, "app_events")? as usize,
+            })
+        };
+        chunk().map_err(SnapshotError)
+    }
+}
+
+// ---- envelope --------------------------------------------------------
+
+/// Wrap an already-serialized body as `{"checksum":…,"<key>":body}`,
+/// byte-identical to serializing the two-field object (`"checksum"`
+/// sorts before every key used here), without serializing the body a
+/// second time. Returns the document and the checksum.
+fn seal(key: &str, body: &str) -> (String, H256) {
+    let checksum = H256::keccak(body);
+    let checksum_hex = codec::h256_to_str(&checksum);
+    let mut out = String::with_capacity(body.len() + key.len() + 96);
+    out.push_str("{\"checksum\":\"");
+    out.push_str(&checksum_hex);
+    out.push_str("\",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(body);
+    out.push('}');
+    (out, checksum)
+}
+
+/// Verify a sealed document's checksum and return its body with the
+/// checksum. A document in exactly the shape [`seal`] writes is checked
+/// over its raw body bytes; any other layout of the same JSON is
+/// re-serialized first, so the checksum stays a property of the content.
+fn open_sealed<'a>(
+    text: &str,
+    doc: &'a JsonValue,
+    key: &str,
+) -> Result<(&'a JsonValue, H256), SnapshotError> {
+    let checksum = doc
+        .get("checksum")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| SnapshotError("missing checksum".into()))
+        .and_then(|s| codec::h256_from_str(s).map_err(SnapshotError))?;
+    let body = doc
+        .get(key)
+        .ok_or_else(|| SnapshotError(format!("missing \"{key}\"")))?;
+    let raw_body = text
+        .strip_prefix("{\"checksum\":\"")
+        .and_then(|rest| rest.get(66..))
+        .and_then(|rest| rest.strip_prefix("\",\""))
+        .and_then(|rest| rest.strip_prefix(key))
+        .and_then(|rest| rest.strip_prefix("\":"))
+        .and_then(|rest| rest.strip_suffix('}'));
+    let matches = |bytes: &[u8]| H256::keccak(bytes) == checksum;
+    if raw_body.is_some_and(|raw| matches(raw.as_bytes())) || matches(body.to_json().as_bytes()) {
+        Ok((body, checksum))
+    } else {
+        bad("checksum mismatch (corrupt or tampered snapshot)")
+    }
+}
+
+// ---- accounts --------------------------------------------------------
+
+/// A compaction image's code table, decoded: code hash → the shared blob
+/// and its analysis, so every account running the same code shares one
+/// copy of both.
+type CodeTable = FxHashMap<String, (Arc<Vec<u8>>, Arc<AnalyzedCode>)>;
+
+fn codes_from_json(doc: Option<&JsonValue>) -> Result<CodeTable, SnapshotError> {
+    let mut table = CodeTable::default();
+    let Some(doc) = doc else {
+        return Ok(table);
+    };
+    let JsonValue::Object(codes) = doc else {
+        return bad("\"codes\" must be an object");
+    };
+    for (hash, code) in codes {
+        let code = code
+            .as_str()
+            .ok_or_else(|| SnapshotError("code must be a hex string".into()))?;
+        let code = Arc::new(hex::decode(code).map_err(|e| SnapshotError(e.to_string()))?);
+        let analysis = AnalyzedCode::analyze(Arc::clone(&code));
+        if codec::h256_to_str(&analysis.code_hash()) != *hash {
+            return bad(format!("code {hash} does not hash to its key"));
+        }
+        table.insert(hash.clone(), (code, analysis));
+    }
+    Ok(table)
+}
+
+/// Decode one account body from either image layout: code inline
+/// (`"code"`) or referenced into the code table (`"code_hash"`).
+fn account_from_json(body: &JsonValue, codes: &CodeTable) -> Result<Account, SnapshotError> {
     let balance = body
         .get("balance")
         .and_then(JsonValue::as_str)
@@ -40,14 +198,26 @@ fn account_from_json(body: &JsonValue) -> Result<Account, SnapshotError> {
         Some(JsonValue::Number(n)) => *n as u64,
         _ => return bad("missing nonce"),
     };
-    let code = body
-        .get("code")
-        .and_then(JsonValue::as_str)
-        .map(hex::decode)
-        .transpose()
-        .map_err(|e| SnapshotError(e.to_string()))?
-        .unwrap_or_default();
-    let mut storage = lsc_primitives::FxHashMap::default();
+    let (code, analysis) = match body.get("code_hash").map(JsonValue::as_str) {
+        Some(Some(hash)) => {
+            let (code, analysis) = codes
+                .get(hash)
+                .ok_or_else(|| SnapshotError(format!("code {hash} missing from the table")))?;
+            (Arc::clone(code), OnceLock::from(Arc::clone(analysis)))
+        }
+        Some(None) => return bad("code_hash must be a string"),
+        None => {
+            let code = body
+                .get("code")
+                .and_then(JsonValue::as_str)
+                .map(hex::decode)
+                .transpose()
+                .map_err(|e| SnapshotError(e.to_string()))?
+                .unwrap_or_default();
+            (Arc::new(code), OnceLock::new())
+        }
+    };
+    let mut storage = FxHashMap::default();
     if let Some(JsonValue::Object(slots)) = body.get("storage") {
         for (slot, value) in slots {
             let slot = U256::from_hex_str(slot).map_err(|e| SnapshotError(e.to_string()))?;
@@ -61,9 +231,9 @@ fn account_from_json(body: &JsonValue) -> Result<Account, SnapshotError> {
     Ok(Account {
         balance,
         nonce,
-        code: Arc::new(code),
+        code,
         storage,
-        ..Account::default()
+        analysis,
     })
 }
 
@@ -71,179 +241,107 @@ fn account_from_json(body: &JsonValue) -> Result<Account, SnapshotError> {
 /// applied to a node.
 fn accounts_from_json(
     accounts: &BTreeMap<String, JsonValue>,
+    codes: &CodeTable,
 ) -> Result<Vec<(Address, Account)>, SnapshotError> {
     let mut out = Vec::with_capacity(accounts.len());
     for (address, body) in accounts {
         let address: Address = address
             .parse()
             .map_err(|_| SnapshotError(format!("bad address {address}")))?;
-        out.push((address, account_from_json(body)?));
+        out.push((address, account_from_json(body, codes)?));
     }
     Ok(out)
 }
 
-impl LocalNode {
-    /// Export the whole node as a checksummed JSON image: accounts
-    /// (balances, nonces, code, storage), the chain clock, the pending
-    /// transaction queue, and the full block/receipt history. The
-    /// envelope is `{"checksum": keccak(state), "state": {...}}`;
-    /// serialization is deterministic, so the checksum detects any
-    /// bit-flip or truncation.
-    pub fn export_state(&self) -> String {
-        self.export_image(None)
-    }
+// ---- history ---------------------------------------------------------
 
-    /// [`LocalNode::export_state`] with an optional `wal_from` marker —
-    /// the first WAL segment this image does NOT cover (written by
-    /// compaction; recovery takes the boundary from the snapshot's file
-    /// name, the field makes the image self-describing).
-    pub(crate) fn export_image(&self, wal_from: Option<u64>) -> String {
-        let mut accounts: BTreeMap<String, JsonValue> = BTreeMap::new();
-        for (address, account) in self.state_accounts() {
-            let mut storage: BTreeMap<String, JsonValue> = BTreeMap::new();
-            for (slot, value) in &account.storage {
-                storage.insert(format!("{slot:x}"), JsonValue::String(format!("{value:x}")));
+/// The `blocks` / `receipts` / `app_events` fields for a run of blocks:
+/// the whole history in a self-contained image, the blocks since the
+/// previous chunk in a history chunk.
+fn history_fields<'a>(
+    blocks: impl Iterator<Item = &'a Arc<Block>>,
+    history: &CommittedSnapshot,
+    app_events: &[String],
+) -> [(&'static str, JsonValue); 3] {
+    let mut block_docs = Vec::new();
+    let mut receipts: BTreeMap<String, JsonValue> = BTreeMap::new();
+    for block in blocks {
+        block_docs.push(codec::block_to_json(block));
+        for tx_hash in &block.tx_hashes {
+            if let Some(receipt) = history.receipts().get(tx_hash) {
+                receipts.insert(codec::h256_to_str(tx_hash), codec::receipt_to_json(receipt));
             }
-            accounts.insert(
-                address.to_string(),
-                JsonValue::object([
-                    (
-                        "balance",
-                        JsonValue::String(account.balance.to_decimal_string()),
-                    ),
-                    ("nonce", JsonValue::Number(account.nonce as f64)),
-                    (
-                        "code",
-                        JsonValue::String(hex::encode(account.code.as_slice())),
-                    ),
-                    ("storage", JsonValue::Object(storage)),
-                ]),
-            );
         }
-        let mut receipts: BTreeMap<String, JsonValue> = BTreeMap::new();
-        for receipt in self.history().receipts().values() {
-            receipts.insert(
-                codec::h256_to_str(&receipt.tx_hash),
-                codec::receipt_to_json(receipt),
-            );
-        }
-        let mut fields = vec![
-            ("timestamp", JsonValue::Number(self.timestamp() as f64)),
-            ("accounts", JsonValue::Object(accounts)),
-            (
-                "pending",
-                JsonValue::Array(self.pending_txs().iter().map(codec::tx_to_json).collect()),
-            ),
-            (
-                "blocks",
-                JsonValue::Array(
-                    self.history()
-                        .blocks()
-                        .iter()
-                        .map(|block| codec::block_to_json(block))
-                        .collect(),
-                ),
-            ),
-            ("receipts", JsonValue::Object(receipts)),
-            // The app tier's event history rides in the image so that
-            // compaction (which prunes the WAL segments holding the
-            // original AppEvent records) never loses it.
-            (
-                "app_events",
-                JsonValue::Array(
-                    self.app_events()
-                        .iter()
-                        .map(|e| JsonValue::String(e.clone()))
-                        .collect(),
-                ),
-            ),
-        ];
-        // The trie root of the exported account set: recovery adopts the
-        // persisted page store without rebuilding iff its committed root
-        // matches this (the trie is canonical, so the root is a pure
-        // function of the accounts above).
-        fields.push((
-            "state_root",
-            JsonValue::String(codec::h256_to_str(&self.canonical_state_root())),
-        ));
-        if let Some(wal_from) = wal_from {
-            fields.push(("wal_from", JsonValue::Number(wal_from as f64)));
-        }
-        let state = JsonValue::object(fields);
-        let serialized = state.to_json();
-        JsonValue::object([
-            (
-                "checksum",
-                JsonValue::String(hex::encode_prefixed(keccak256(serialized.as_bytes()))),
-            ),
-            ("state", state),
-        ])
-        .to_json()
     }
+    [
+        ("blocks", JsonValue::Array(block_docs)),
+        ("receipts", JsonValue::Object(receipts)),
+        // The app tier's event history rides along so that compaction
+        // (which prunes the WAL segments holding the original AppEvent
+        // records) never loses it.
+        (
+            "app_events",
+            JsonValue::Array(
+                app_events
+                    .iter()
+                    .map(|e| JsonValue::String(e.clone()))
+                    .collect(),
+            ),
+        ),
+    ]
+}
 
-    /// Import a state document. Two formats are accepted:
-    ///
-    /// * the checksummed full image written by [`LocalNode::export_state`]
-    ///   — verified end to end (envelope checksum, recomputed block
-    ///   hashes, parent links, receipt keys) before anything is applied;
-    ///   accounts merge, while clock, pending queue and history are
-    ///   replaced;
-    /// * the legacy flat `{timestamp, accounts}` document — accounts
-    ///   merge, the clock only moves forward.
-    ///
-    /// Returns the number of accounts imported.
-    pub fn import_state(&mut self, document: &str) -> Result<usize, SnapshotError> {
-        let doc = parse(document).map_err(|e| SnapshotError(e.to_string()))?;
-        if doc.get("state").is_some() {
-            return self.import_image(&doc);
-        }
-        let Some(JsonValue::Object(accounts)) = doc.get("accounts") else {
-            return bad("missing \"accounts\" object");
-        };
-        if let Some(ts) = doc.get("timestamp").and_then(|v| match v {
-            JsonValue::Number(n) => Some(*n as u64),
-            _ => None,
-        }) {
-            self.set_timestamp(ts);
-        }
-        let accounts = accounts_from_json(accounts)?;
-        let imported = accounts.len();
-        self.restore_accounts(accounts);
-        self.publish();
-        Ok(imported)
-    }
+/// History decoded from an image or a run of chunks, in chain order.
+#[derive(Default)]
+struct History {
+    blocks: Vec<Block>,
+    receipts: Vec<Receipt>,
+    app_events: Vec<String>,
+}
 
-    fn import_image(&mut self, doc: &JsonValue) -> Result<usize, SnapshotError> {
-        let checksum = doc
-            .get("checksum")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| SnapshotError("missing checksum".into()))?;
-        let state = doc.get("state").expect("checked by caller");
-        // Serialization is deterministic, so re-serializing the parsed
-        // state reproduces the exact bytes the checksum was taken over.
-        let serialized = state.to_json();
-        if hex::encode_prefixed(keccak256(serialized.as_bytes())) != checksum.to_lowercase() {
-            return bad("checksum mismatch (corrupt or tampered snapshot)");
-        }
-        let timestamp = match state.get("timestamp") {
-            Some(JsonValue::Number(n)) if *n >= 0.0 => *n as u64,
-            _ => return bad("missing timestamp"),
-        };
-        let Some(JsonValue::Object(accounts)) = state.get("accounts") else {
-            return bad("missing \"accounts\" object");
-        };
-        let accounts = accounts_from_json(accounts)?;
-        let blocks = state
+impl History {
+    /// Decode one `blocks` / `receipts` / `app_events` section and append
+    /// it.
+    fn extend_from_json(&mut self, doc: &JsonValue) -> Result<(), SnapshotError> {
+        for block in doc
             .get("blocks")
             .and_then(JsonValue::as_array)
             .ok_or_else(|| SnapshotError("missing \"blocks\" array".into()))?
-            .iter()
-            .map(|b| codec::block_from_json(b).map_err(SnapshotError))
-            .collect::<Result<Vec<Block>, _>>()?;
-        if blocks.is_empty() {
+        {
+            self.blocks
+                .push(codec::block_from_json(block).map_err(SnapshotError)?);
+        }
+        let Some(JsonValue::Object(receipt_docs)) = doc.get("receipts") else {
+            return bad("missing \"receipts\" object");
+        };
+        for (key, body) in receipt_docs {
+            let receipt = codec::receipt_from_json(body).map_err(SnapshotError)?;
+            let key_hash = codec::h256_from_str(key).map_err(SnapshotError)?;
+            if key_hash != receipt.tx_hash {
+                return bad(format!("receipt key {key} does not match its tx_hash"));
+            }
+            self.receipts.push(receipt);
+        }
+        for event in doc
+            .get("app_events")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| SnapshotError("missing \"app_events\" array".into()))?
+        {
+            let event = event
+                .as_str()
+                .ok_or_else(|| SnapshotError("app_events entry is not a string".into()))?;
+            self.app_events.push(event.to_string());
+        }
+        Ok(())
+    }
+
+    /// Every block hashes to its contents and links to its parent, from
+    /// genesis on.
+    fn validate(&self) -> Result<(), SnapshotError> {
+        if self.blocks.is_empty() {
             return bad("image has no genesis block");
         }
-        for (i, block) in blocks.iter().enumerate() {
+        for (i, block) in self.blocks.iter().enumerate() {
             if block.hash
                 != Block::compute_hash(
                     block.number,
@@ -258,22 +356,266 @@ impl LocalNode {
                     block.number
                 ));
             }
-            if i > 0 && block.parent_hash != blocks[i - 1].hash {
+            if i > 0 && block.parent_hash != self.blocks[i - 1].hash {
                 return bad(format!("block {} breaks the parent chain", block.number));
             }
         }
-        let Some(JsonValue::Object(receipt_docs)) = state.get("receipts") else {
-            return bad("missing \"receipts\" object");
-        };
-        let mut receipts: Vec<Receipt> = Vec::with_capacity(receipt_docs.len());
-        for (key, body) in receipt_docs {
-            let receipt = codec::receipt_from_json(body).map_err(SnapshotError)?;
-            let key_hash = codec::h256_from_str(key).map_err(SnapshotError)?;
-            if key_hash != receipt.tx_hash {
-                return bad(format!("receipt key {key} does not match its tx_hash"));
+        Ok(())
+    }
+
+    /// Read, verify and append the listed chunks from `dir`.
+    fn load_chunks(&mut self, dir: &Path, chunks: &[HistoryChunk]) -> Result<(), SnapshotError> {
+        for chunk in chunks {
+            let path = wal::history_path(dir, chunk.wal_from);
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| SnapshotError(format!("read {}: {e}", path.display())))?;
+            let doc = parse(&text).map_err(|e| SnapshotError(e.to_string()))?;
+            let (body, checksum) = open_sealed(&text, &doc, "history")?;
+            if checksum != chunk.checksum {
+                return bad(format!("{} is not the listed chunk", path.display()));
             }
-            receipts.push(receipt);
+            self.extend_from_json(body)?;
+            let last = self.blocks.last().map(|b| (b.number, b.hash));
+            if last != Some((chunk.last_number, chunk.last_hash))
+                || self.app_events.len() != chunk.app_events
+            {
+                return bad(format!(
+                    "{} does not end where the image says",
+                    path.display()
+                ));
+            }
         }
+        Ok(())
+    }
+}
+
+// ---- export ----------------------------------------------------------
+
+impl LocalNode {
+    /// Export the whole node as a self-contained checksummed JSON image:
+    /// accounts (balances, nonces, code, storage), the chain clock, the
+    /// pending transaction queue, the full block/receipt history and the
+    /// app events. The envelope is `{"checksum": keccak(state), "state":
+    /// {...}}`; serialization is deterministic, so the checksum detects
+    /// any bit-flip or truncation.
+    pub fn export_state(&self) -> String {
+        let history = self.history();
+        let mut fields = self.state_fields(false);
+        fields.extend(history_fields(
+            history.blocks().iter(),
+            history,
+            self.app_events(),
+        ));
+        // The trie root of the exported account set; the trie is
+        // canonical, so the root is a pure function of the accounts.
+        fields.push((
+            "state_root",
+            JsonValue::String(codec::h256_to_str(&self.canonical_state_root())),
+        ));
+        seal("state", &JsonValue::object(fields).to_json()).0
+    }
+
+    /// The account set, clock and pool. With `code_table`, each distinct
+    /// code blob is stored once in a `codes` table keyed by its memoized
+    /// code hash and accounts carry `code_hash`; otherwise code is inline.
+    fn state_fields(&self, code_table: bool) -> Vec<(&'static str, JsonValue)> {
+        let mut accounts: BTreeMap<String, JsonValue> = BTreeMap::new();
+        let mut codes: BTreeMap<String, JsonValue> = BTreeMap::new();
+        for (address, account) in self.world_state().iter_accounts() {
+            let mut storage: BTreeMap<String, JsonValue> = BTreeMap::new();
+            for (slot, value) in &account.storage {
+                storage.insert(format!("{slot:x}"), JsonValue::String(format!("{value:x}")));
+            }
+            let code = if !code_table || account.code.is_empty() {
+                (
+                    "code",
+                    JsonValue::String(hex::encode(account.code.as_slice())),
+                )
+            } else {
+                let hash = codec::h256_to_str(&account.analysis().code_hash());
+                if !codes.contains_key(&hash) {
+                    codes.insert(
+                        hash.clone(),
+                        JsonValue::String(hex::encode(account.code.as_slice())),
+                    );
+                }
+                ("code_hash", JsonValue::String(hash))
+            };
+            accounts.insert(
+                address.to_string(),
+                JsonValue::object([
+                    (
+                        "balance",
+                        JsonValue::String(account.balance.to_decimal_string()),
+                    ),
+                    ("nonce", JsonValue::Number(account.nonce as f64)),
+                    code,
+                    ("storage", JsonValue::Object(storage)),
+                ]),
+            );
+        }
+        let mut fields = vec![
+            ("timestamp", JsonValue::Number(self.timestamp() as f64)),
+            ("accounts", JsonValue::Object(accounts)),
+            (
+                "pending",
+                JsonValue::Array(self.pending_txs().iter().map(codec::tx_to_json).collect()),
+            ),
+        ];
+        if code_table {
+            fields.push(("codes", JsonValue::Object(codes)));
+        }
+        fields
+    }
+
+    /// Write what one compaction publishes into `dir`: a history chunk
+    /// with everything sealed since the last listed chunk (skipped when
+    /// there is nothing new), then the compaction image
+    /// `snapshot-<wal_from>.json` listing the chunks. `state_root` is the
+    /// live trie's root, synced by the caller. Both files go through
+    /// [`wal::write_durable`]; the image's rename is the commit point.
+    /// Returns the chunk list the new image holds.
+    pub(crate) fn write_compaction(
+        &self,
+        dir: &Path,
+        wal_from: u64,
+        state_root: H256,
+        faults: &Faults,
+    ) -> Result<Vec<HistoryChunk>, WalError> {
+        let history = self.history();
+        let blocks = history.blocks();
+        let events = self.app_events();
+        // Continue the series only while the live chain still extends its
+        // last chunk; otherwise start over from genesis.
+        let extends = |last: &HistoryChunk| {
+            usize::try_from(last.last_number)
+                .ok()
+                .and_then(|n| blocks.get(n))
+                .is_some_and(|block| block.hash == last.last_hash)
+                && events.len() >= last.app_events
+        };
+        let mut chunks = match self.history_chunks().last() {
+            Some(last) if extends(last) => self.history_chunks().to_vec(),
+            _ => Vec::new(),
+        };
+        let (first_block, first_event) = chunks.last().map_or((0, 0), |last| {
+            (last.last_number as usize + 1, last.app_events)
+        });
+        if first_block < blocks.len() || first_event < events.len() {
+            let body = JsonValue::object(history_fields(
+                blocks.iter_from(first_block),
+                history,
+                &events[first_event..],
+            ))
+            .to_json();
+            let (text, checksum) = seal("history", &body);
+            wal::write_durable(&wal::history_path(dir, wal_from), text.as_bytes(), faults)?;
+            let last = blocks.last().expect("genesis always present");
+            chunks.push(HistoryChunk {
+                wal_from,
+                checksum,
+                last_number: last.number,
+                last_hash: last.hash,
+                app_events: events.len(),
+            });
+        }
+        let mut fields = self.state_fields(true);
+        fields.push((
+            "history",
+            JsonValue::Array(chunks.iter().map(HistoryChunk::to_json).collect()),
+        ));
+        fields.push((
+            "state_root",
+            JsonValue::String(codec::h256_to_str(&state_root)),
+        ));
+        fields.push(("wal_from", JsonValue::Number(wal_from as f64)));
+        let (image, _) = seal("state", &JsonValue::object(fields).to_json());
+        wal::write_durable(&wal::snapshot_path(dir, wal_from), image.as_bytes(), faults)?;
+        Ok(chunks)
+    }
+}
+
+// ---- import ----------------------------------------------------------
+
+impl LocalNode {
+    /// Import a state document. Two formats are accepted:
+    ///
+    /// * the checksummed self-contained image written by
+    ///   [`LocalNode::export_state`] — verified end to end (envelope
+    ///   checksum, recomputed block hashes, parent links, receipt keys)
+    ///   before anything is applied; accounts merge, while clock, pending
+    ///   queue and history are replaced;
+    /// * the legacy flat `{timestamp, accounts}` document — accounts
+    ///   merge, the clock only moves forward.
+    ///
+    /// A compaction image lists history chunks that live in its data
+    /// directory, so it is refused here; [`LocalNode::recover`] reads it.
+    ///
+    /// Returns the number of accounts imported.
+    pub fn import_state(&mut self, document: &str) -> Result<usize, SnapshotError> {
+        let doc = parse(document).map_err(|e| SnapshotError(e.to_string()))?;
+        if doc.get("state").is_some() {
+            return self.import_image(document, &doc, None);
+        }
+        let Some(JsonValue::Object(accounts)) = doc.get("accounts") else {
+            return bad("missing \"accounts\" object");
+        };
+        if let Some(ts) = doc.get("timestamp").and_then(|v| match v {
+            JsonValue::Number(n) => Some(*n as u64),
+            _ => None,
+        }) {
+            self.set_timestamp(ts);
+        }
+        let accounts = accounts_from_json(accounts, &CodeTable::default())?;
+        let imported = accounts.len();
+        self.restore_accounts(accounts);
+        self.publish();
+        Ok(imported)
+    }
+
+    /// Import a snapshot file from data dir `dir`: a compaction image
+    /// (its history chunks are read from `dir`) or a self-contained one.
+    pub(crate) fn import_snapshot(&mut self, dir: &Path, text: &str) -> Result<(), SnapshotError> {
+        let doc = parse(text).map_err(|e| SnapshotError(e.to_string()))?;
+        self.import_image(text, &doc, Some(dir)).map(|_| ())
+    }
+
+    fn import_image(
+        &mut self,
+        text: &str,
+        doc: &JsonValue,
+        dir: Option<&Path>,
+    ) -> Result<usize, SnapshotError> {
+        let (state, _) = open_sealed(text, doc, "state")?;
+        let timestamp = match state.get("timestamp") {
+            Some(JsonValue::Number(n)) if *n >= 0.0 => *n as u64,
+            _ => return bad("missing timestamp"),
+        };
+        let Some(JsonValue::Object(accounts)) = state.get("accounts") else {
+            return bad("missing \"accounts\" object");
+        };
+        let accounts = accounts_from_json(accounts, &codes_from_json(state.get("codes"))?)?;
+        let mut history = History::default();
+        let chunks = match (state.get("history"), dir) {
+            (None, _) => {
+                history.extend_from_json(state)?;
+                Vec::new()
+            }
+            (Some(list), Some(dir)) => {
+                let chunks = list
+                    .as_array()
+                    .ok_or_else(|| SnapshotError("\"history\" must be an array".into()))?
+                    .iter()
+                    .map(HistoryChunk::from_json)
+                    .collect::<Result<Vec<_>, _>>()?;
+                history.load_chunks(dir, &chunks)?;
+                chunks
+            }
+            (Some(_), None) => {
+                return bad("a compaction image keeps its history in its data dir; recover it")
+            }
+        };
+        history.validate()?;
         let pending = state
             .get("pending")
             .and_then(JsonValue::as_array)
@@ -281,17 +623,6 @@ impl LocalNode {
             .iter()
             .map(|t| codec::tx_from_json(t).map_err(SnapshotError))
             .collect::<Result<Vec<Transaction>, _>>()?;
-        let app_events = state
-            .get("app_events")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| SnapshotError("missing \"app_events\" array".into()))?
-            .iter()
-            .map(|e| {
-                e.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| SnapshotError("app_events entry is not a string".into()))
-            })
-            .collect::<Result<Vec<String>, _>>()?;
 
         // Everything validated — apply, and publish once at the end.
         let imported = accounts.len();
@@ -304,9 +635,10 @@ impl LocalNode {
                 .and_then(JsonValue::as_str)
                 .and_then(|s| codec::h256_from_str(s).ok()),
         );
-        self.install_history(blocks, receipts);
+        self.install_history(history.blocks, history.receipts);
+        self.set_history_chunks(chunks);
         self.install_pending(pending);
-        self.install_app_events(app_events);
+        self.install_app_events(history.app_events);
         self.set_clock(timestamp);
         self.rebuild_published();
         Ok(imported)
@@ -397,6 +729,53 @@ mod tests {
     fn snapshot_is_deterministic() {
         let node = LocalNode::new(2);
         assert_eq!(node.export_state(), node.export_state());
+    }
+
+    #[test]
+    fn seal_matches_the_serialized_envelope() {
+        let body = JsonValue::object([
+            ("b", JsonValue::Number(1.0)),
+            ("a", JsonValue::String("x".into())),
+        ]);
+        for key in ["state", "history"] {
+            let (sealed, checksum) = seal(key, &body.to_json());
+            let expected = JsonValue::Object(BTreeMap::from([
+                (
+                    "checksum".to_string(),
+                    JsonValue::String(codec::h256_to_str(&checksum)),
+                ),
+                (key.to_string(), body.clone()),
+            ]))
+            .to_json();
+            assert_eq!(sealed, expected);
+            let doc = parse(&sealed).unwrap();
+            assert_eq!(open_sealed(&sealed, &doc, key).unwrap(), (&body, checksum));
+            // The same content laid out differently still verifies…
+            let spaced = sealed.replace(',', ", ");
+            let doc = parse(&spaced).unwrap();
+            assert!(open_sealed(&spaced, &doc, key).is_ok());
+            // …and different content does not.
+            let tampered = sealed.replace("\"x\"", "\"y\"");
+            let doc = parse(&tampered).unwrap();
+            assert!(open_sealed(&tampered, &doc, key).is_err());
+        }
+    }
+
+    #[test]
+    fn compaction_images_need_their_data_dir() {
+        let dir = std::env::temp_dir().join(format!("lsc-chain-chunked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut node =
+            LocalNode::open(&dir, crate::ChainConfig::default(), 2, Faults::none()).unwrap();
+        let wal_from = node.compact().unwrap();
+        let image = std::fs::read_to_string(wal::snapshot_path(&dir, wal_from)).unwrap();
+        let err = LocalNode::new(0).import_state(&image).unwrap_err();
+        assert!(err.0.contains("data dir"), "{err}");
+        let mut fresh = LocalNode::new(0);
+        fresh.import_snapshot(&dir, &image).unwrap();
+        assert_eq!(fresh.export_state(), node.export_state());
+        drop(node);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -375,6 +375,10 @@ pub(crate) fn snapshot_path(dir: &Path, wal_from: u64) -> PathBuf {
     dir.join(format!("snapshot-{wal_from:06}.json"))
 }
 
+pub(crate) fn history_path(dir: &Path, wal_from: u64) -> PathBuf {
+    dir.join(format!("history-{wal_from:06}.json"))
+}
+
 fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<(u64, PathBuf)>, WalError> {
     let mut out = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| io_err("read dir", e))?;
@@ -405,6 +409,12 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError>
 /// cover (`wal_from`).
 pub(crate) fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     numbered_files(dir, "snapshot-", ".json")
+}
+
+/// History chunk files in `dir`, ascending by the compaction that wrote
+/// them.
+pub(crate) fn list_history(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
+    numbered_files(dir, "history-", ".json")
 }
 
 /// Write `bytes` to `path` atomically: tmp file, fsync, rename. Routed

@@ -97,3 +97,40 @@ fn large_threshold_waits_for_the_log_to_grow() {
     assert_eq!(snapshot_count(&dir), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Bytes one compaction adds to the data dir: its new image plus the
+/// history chunk it appended.
+fn compaction_bytes(dir: &Path, wal_from: u64) -> u64 {
+    let size = |name: String| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+    size(format!("snapshot-{wal_from:06}.json")) + size(format!("history-{wal_from:06}.json"))
+}
+
+#[test]
+fn compaction_writes_stay_flat_as_history_grows() {
+    // A fixed account set and a fixed amount of work between
+    // compactions: what each compaction writes must not grow with the
+    // height. A full-history image grows by a round's blocks (~17 KB)
+    // each time; the image's chunk list grows by one ~200-byte entry.
+    let dir = temp_dir("flat");
+    let mut node = LocalNode::open(&dir, ChainConfig::default(), 4, Faults::none()).unwrap();
+    let accounts = node.accounts().to_vec();
+    let mut written = Vec::new();
+    for _ in 0..8 {
+        for i in 0..24 {
+            node.send_transaction(
+                Transaction::call(accounts[i % 4], accounts[(i + 1) % 4], vec![])
+                    .with_value(U256::from_u64(5))
+                    .with_gas(21_000),
+            )
+            .unwrap();
+        }
+        let wal_from = node.compact().unwrap();
+        written.push(compaction_bytes(&dir, wal_from));
+    }
+    let (min, max) = (
+        *written.iter().min().unwrap(),
+        *written.iter().max().unwrap(),
+    );
+    assert!(max - min <= 8 * 256, "bytes per compaction: {written:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

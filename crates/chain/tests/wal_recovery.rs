@@ -392,3 +392,32 @@ fn recovery_rebuilds_compiled_artifacts_for_final_code() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn durable_nodes_refuse_to_revert() {
+    // A revert is not a logged intent: were it allowed, a restart would
+    // replay the reverted blocks and serve another chain than the one
+    // acknowledged. A durable node refuses it instead.
+    let dir = temp_dir("revert");
+    let mut node = LocalNode::open(&dir, ChainConfig::default(), 3, Faults::none()).unwrap();
+    let [a, b] = [node.accounts()[0], node.accounts()[1]];
+    let snap = node.snapshot();
+    node.send_transaction(
+        Transaction::call(a, b, vec![])
+            .with_value(U256::from_u64(3))
+            .with_gas(21_000),
+    )
+    .unwrap();
+    assert!(!node.revert_to_snapshot(snap), "durable revert refused");
+    let (height, root) = (node.block_number(), node.state_root());
+    assert_eq!(height, 1);
+    drop(node);
+
+    let mut recovered = LocalNode::recover(&dir, Faults::none()).unwrap();
+    assert_eq!(
+        (recovered.block_number(), recovered.state_root()),
+        (height, root),
+        "the restarted node serves the acknowledged chain"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -186,6 +186,18 @@ fn run_workload(app: &RentalApp, web3: &Web3, ops: &[Op]) -> bool {
     true
 }
 
+/// History chunk files in a data dir, ascending.
+fn history_chunks(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("data dir")
+        .filter_map(Result::ok)
+        .filter_map(|entry| entry.file_name().to_str().map(String::from))
+        .filter(|name| name.starts_with("history-") && name.ends_with(".json"))
+        .collect();
+    names.sort();
+    names
+}
+
 fn op_strategy() -> BoxedStrategy<Op> {
     prop_oneof![
         Just(Op::Deploy),
@@ -213,15 +225,17 @@ proptest! {
             "this test requires the fault-injection feature"
         );
 
-        // Every run ends with a compaction and one more block, so the
+        // Every run ends with two compactions, each followed by one more
+        // block, so the enumerated crash-point set always holds the
         // paged state store's persist sequence (page appends, the page
-        // fsync, the `state.root` tmp-write/fsync/rename) is always in
-        // the enumerated crash-point set — a crash between the snapshot
-        // rename and the root-file flip must recover bit-identically
-        // via the rebuild fallback.
+        // fsync, the `state.root` tmp-write/fsync/rename) and the write,
+        // fsync and rename of a history chunk appended to an existing
+        // series. A crash between the snapshot rename and the root-file
+        // flip must recover bit-identically via the rebuild fallback; a
+        // crash between a chunk's rename and its image's rename, from
+        // the previous image plus the log.
         let mut ops = ops;
-        ops.push(Op::Compact);
-        ops.push(Op::Mine);
+        ops.extend([Op::Compact, Op::Mine, Op::Compact, Op::Mine]);
 
         // Clean run: executes the whole workload and — via the shared
         // fault handle's counters — enumerates every crash point it
@@ -235,6 +249,10 @@ proptest! {
         drop(clean_app);
         drop(clean_web3);
         prop_assert!(counts.writes > 0, "the workload must hit the log");
+        prop_assert!(
+            history_chunks(&clean_dir).len() >= 2,
+            "the second compaction appends a chunk"
+        );
 
         // A fault-free recovery reproduces the clean run exactly.
         let recovered = LocalNode::recover(&clean_dir, Faults::none()).expect("clean recovery");
@@ -361,5 +379,56 @@ fn adopted_and_rebuilt_restarts_agree() {
     let mut torn = LocalNode::recover(&dir, Faults::none()).expect("recovery over torn pages");
     assert_eq!(torn.export_state(), expected);
     assert_eq!(torn.state_root(), expected_root);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The compaction layout across a restart: compact, restart, work,
+/// compact again. The second compaction appends to the chunk series the
+/// restarted node read back, and a further restart lands on the same
+/// chain with the app tier's events intact.
+#[test]
+fn compaction_continues_its_history_across_a_restart() {
+    let dir = fresh_dir();
+    let (app, web3) = open_app(&dir, Faults::none());
+    assert!(run_workload(
+        &app,
+        &web3,
+        &[Op::Deploy, Op::Confirm(0), Op::Pay(0), Op::Compact]
+    ));
+    let first = history_chunks(&dir);
+    assert_eq!(first.len(), 1, "{first:?}");
+    drop(app);
+    drop(web3);
+
+    // Restart, more work (re-running the workload registers nothing new;
+    // the rejections it meets are deterministic), compact again.
+    let (app, web3) = open_app(&dir, Faults::none());
+    assert!(run_workload(
+        &app,
+        &web3,
+        &[
+            Op::Pay(0),
+            Op::Warp(40_000),
+            Op::Pay(0),
+            Op::Compact,
+            Op::Mine
+        ]
+    ));
+    let second = history_chunks(&dir);
+    assert_eq!(second.len(), 2, "{second:?}");
+    assert_eq!(second[0], first[0], "the first chunk is never rewritten");
+    let expected = web3.with_node(|node| node.export_state());
+    let expected_root = web3.with_node(LocalNode::state_root);
+    let events = web3.with_node(|node| node.app_events().len());
+    drop(app);
+    drop(web3);
+
+    let mut recovered = LocalNode::recover(&dir, Faults::none()).expect("recovery");
+    assert_eq!(recovered.export_state(), expected);
+    assert_eq!(recovered.state_root(), expected_root);
+    assert_eq!(recovered.app_events().len(), events);
+    let web3 = Web3::new(recovered);
+    assert!(RentalApp::recover(web3.clone(), IpfsNode::new()).is_ok());
+    drop(web3);
     std::fs::remove_dir_all(&dir).ok();
 }
